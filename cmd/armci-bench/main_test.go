@@ -10,54 +10,52 @@ import (
 	"repro/internal/sim"
 )
 
-// TestInstallSched covers the scheduler flag surface: it must fail
-// fast — before any job is built — with an error that enumerates every
-// valid mode name, and reject shard fan-out outside parallel mode.
+// TestInstallSched covers the shard flag surface, checked before any
+// job is built: a negative -shards is rejected without installing
+// anything, a valid count becomes the harness shard cap, and every
+// observability flag is rejected alongside -shards > 1 with an error
+// naming it.
 func TestInstallSched(t *testing.T) {
-	reset := func() {
-		harness.Sched = 0
-		harness.Shards = 0
-		scaleSched = nil
-	}
-	defer reset()
+	defer func() { harness.Shards = 0 }()
 
-	reset()
-	if err := installSched("fiber", true, 0); err == nil {
-		t.Fatal("unknown mode accepted")
-	} else {
-		for _, name := range sim.ModeNames() {
-			if !strings.Contains(err.Error(), name) {
-				t.Errorf("error %q does not enumerate mode %q", err, name)
-			}
+	harness.Shards = 0
+	if err := installSched(-1); err == nil {
+		t.Error("-shards -1 accepted")
+	}
+	if harness.Shards != 0 {
+		t.Errorf("failed installSched installed Shards=%d", harness.Shards)
+	}
+	for _, k := range []int{0, 1, 8} {
+		if err := installSched(k); err != nil {
+			t.Errorf("-shards %d rejected: %v", k, err)
+		}
+		if harness.Shards != k {
+			t.Errorf("-shards %d installed Shards=%d", k, harness.Shards)
 		}
 	}
-	if scaleSched != nil || harness.Sched != 0 {
-		t.Error("failed installSched still installed a mode")
-	}
 
-	reset()
-	if err := installSched("", false, 8); err == nil {
-		t.Error("-shards 8 without -sched parallel accepted")
+	for _, tc := range []struct {
+		flag                     string
+		stats, profile, critpath bool
+		trace                    string
+	}{
+		{flag: "-stats", stats: true},
+		{flag: "-profile", profile: true},
+		{flag: "-critpath", critpath: true},
+		{flag: "-trace", trace: "t.json"},
+	} {
+		for _, k := range []int{0, 1} {
+			if err := checkObsSharding(k, tc.stats, tc.profile, tc.critpath, tc.trace); err != nil {
+				t.Errorf("%s with -shards %d rejected: %v", tc.flag, k, err)
+			}
+		}
+		err := checkObsSharding(2, tc.stats, tc.profile, tc.critpath, tc.trace)
+		if err == nil || !strings.Contains(err.Error(), tc.flag) {
+			t.Errorf("%s with -shards 2: error %v, want one naming %s", tc.flag, err, tc.flag)
+		}
 	}
-	reset()
-	if err := installSched("continuation", true, 4); err == nil {
-		t.Error("-shards 4 with -sched continuation accepted")
-	}
-
-	reset()
-	if err := installSched("parallel", true, 8); err != nil {
-		t.Fatal(err)
-	}
-	if harness.Sched != sim.ModeParallel || harness.Shards != 8 {
-		t.Errorf("Sched=%v Shards=%d, want parallel/8", harness.Sched, harness.Shards)
-	}
-	if scaleSched == nil || *scaleSched != sim.ModeParallel {
-		t.Error("scale override not installed")
-	}
-
-	reset()
-	if err := installSched("", false, 0); err != nil {
-		t.Fatalf("default flags rejected: %v", err)
+	if err := checkObsSharding(8, false, false, false, ""); err != nil {
+		t.Errorf("-shards 8 without observability rejected: %v", err)
 	}
 }
 

@@ -15,7 +15,11 @@
 // -tol relaxes number comparison to a relative tolerance, for
 // host-time trajectory artifacts (wallclock, parallel-speedup) whose
 // values are machine dependent: shapes and labels must still match
-// exactly, numbers may drift by the given fraction.
+// exactly, numbers may drift by the given fraction. The tolerance must
+// be a finite, non-negative number.
+//
+// Exit status: 0 when the artifacts match, 1 when they differ, 2 on a
+// usage error or an unreadable file.
 package main
 
 import (
@@ -23,6 +27,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"sort"
@@ -32,39 +37,59 @@ import (
 // reported, so a wholesale divergence stays readable.
 const maxReported = 25
 
-func main() {
-	tol := flag.Float64("tol", 0, "relative tolerance for numeric values (0 = byte-exact)")
-	flag.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: benchdiff [-tol frac] golden candidate")
-		flag.PrintDefaults()
+func main() { os.Exit(run(os.Args[1:], os.Stderr)) }
+
+// run is the whole command: it parses args, compares the two artifacts,
+// reports to stderr, and returns the exit status.
+func run(args []string, stderr io.Writer) int {
+	fs := flag.NewFlagSet("benchdiff", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	tol := fs.Float64("tol", 0, "relative tolerance for numeric values (0 = byte-exact)")
+	fs.Usage = func() {
+		fmt.Fprintln(stderr, "usage: benchdiff [-tol frac] golden candidate")
+		fs.PrintDefaults()
 	}
-	flag.Parse()
-	if flag.NArg() != 2 {
-		flag.Usage()
-		os.Exit(2)
+	if err := fs.Parse(args); err == flag.ErrHelp {
+		return 0
+	} else if err != nil {
+		return 2
 	}
-	if *tol < 0 {
-		fmt.Fprintln(os.Stderr, "benchdiff: -tol must be non-negative")
-		os.Exit(2)
+	if fs.NArg() != 2 {
+		fs.Usage()
+		return 2
 	}
-	golden, candidate := flag.Arg(0), flag.Arg(1)
+	if err := checkTol(*tol); err != nil {
+		fmt.Fprintln(stderr, "benchdiff:", err)
+		return 2
+	}
+	golden, candidate := fs.Arg(0), fs.Arg(1)
 	diffs, err := compareFiles(golden, candidate, *tol)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchdiff:", err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, "benchdiff:", err)
+		return 2
 	}
 	if len(diffs) == 0 {
-		return
+		return 0
 	}
-	fmt.Fprintf(os.Stderr, "benchdiff: %s and %s differ (%d mismatches):\n", golden, candidate, len(diffs))
+	fmt.Fprintf(stderr, "benchdiff: %s and %s differ (%d mismatches):\n", golden, candidate, len(diffs))
 	for i, d := range diffs {
 		if i == maxReported {
-			fmt.Fprintf(os.Stderr, "  ... %d more\n", len(diffs)-maxReported)
+			fmt.Fprintf(stderr, "  ... %d more\n", len(diffs)-maxReported)
 			break
 		}
-		fmt.Fprintln(os.Stderr, " ", d)
+		fmt.Fprintln(stderr, " ", d)
 	}
-	os.Exit(1)
+	return 1
+}
+
+// checkTol rejects a tolerance that is negative or not finite: NaN
+// compares false against everything and Inf would let every numeric
+// drift pass, so neither is a meaningful bound.
+func checkTol(tol float64) error {
+	if math.IsNaN(tol) || math.IsInf(tol, 0) || tol < 0 {
+		return fmt.Errorf("-tol must be a finite non-negative number, got %v", tol)
+	}
+	return nil
 }
 
 // compareFiles reads both artifacts and returns the mismatch list.

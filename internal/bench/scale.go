@@ -14,11 +14,9 @@ import (
 
 // ScaleConfig tunes the large-rank scaling sweep: the CCSD(T)-proxy
 // and GA fan-out shapes of Figures 5/6 pushed to thousands of ranks.
-// Jobs this size are why the engine grew its continuation mode — a
-// goroutine per rank is the default elsewhere, but at 16k ranks the
-// resumable-step scheduler keeps the sweep inside a laptop-class
-// memory budget, and the equivalence tests prove both modes produce
-// byte-identical schedules.
+// Jobs this size are why the engine dispatches rank bodies as
+// resumable steps on lazily spawned fibers: at 16k ranks that keeps
+// the sweep inside a laptop-class memory budget.
 type ScaleConfig struct {
 	Ranks []int // simulated process counts, ascending
 
@@ -33,10 +31,6 @@ type ScaleConfig struct {
 	FanoutOwners   int
 	FanoutBlkElems int
 	FanoutIters    int
-
-	// Sched is the engine execution mode the sweep's jobs run under
-	// (continuation by default; -sched overrides).
-	Sched sim.Mode
 
 	// Obs, when non-nil, records per-rank metrics for every job.
 	Obs *obs.Recorder
@@ -54,7 +48,6 @@ func DefaultScale() ScaleConfig {
 		FanoutOwners:   64,
 		FanoutBlkElems: 512,
 		FanoutIters:    2,
-		Sched:          sim.ModeContinuation,
 	}
 }
 
@@ -67,7 +60,6 @@ func QuickScale() ScaleConfig {
 		FanoutOwners:   64,
 		FanoutBlkElems: 512,
 		FanoutIters:    2,
-		Sched:          sim.ModeContinuation,
 	}
 }
 
@@ -80,7 +72,6 @@ func scaleCCSD(plat *platform.Platform, impl harness.Impl, nranks int, cfg Scale
 	if err != nil {
 		return 0, err
 	}
-	j.Eng.Mode = cfg.Sched
 	var phase sim.Time
 	var runErr error
 	err = j.Eng.Run(nranks, func(pr *sim.Proc) {
@@ -120,7 +111,6 @@ func scaleFanout(plat *platform.Platform, impl harness.Impl, nranks int, cfg Sca
 	if err != nil {
 		return 0, 0, err
 	}
-	j.Eng.Mode = cfg.Sched
 	k := cfg.FanoutOwners
 	var runErr error
 	err = j.Eng.Run(nranks, func(pr *sim.Proc) {

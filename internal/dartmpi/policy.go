@@ -1,9 +1,6 @@
 package dartmpi
 
-import (
-	"repro/internal/armcimpi"
-	"repro/internal/obs"
-)
+import "repro/internal/armcimpi"
 
 // dartPolicy is dartmpi's RoutePolicy: the locality classifier the
 // engine consults once per operation. It only answers routing
@@ -91,18 +88,13 @@ func (p dartPolicy) staged(target, n int) bool {
 // are not counted here — their segments are, individually.
 func (p dartPolicy) Count(d armcimpi.RouteDecision) {
 	w := p.r.W
-	o := w.Mpi.Obs
-	me := p.r.Rank()
 	switch d.Route {
 	case armcimpi.RouteSelf:
 		w.SelfOps++
-		o.Inc(me, obs.CDartSelf)
 	case armcimpi.RouteNode:
 		w.NodeOps++
-		o.Inc(me, obs.CDartNode)
 	default:
 		w.RemoteOps++
-		o.Inc(me, obs.CDartRemote)
 	}
 }
 

@@ -147,10 +147,6 @@ type Win struct {
 
 	cur *epoch         // at most one open epoch per window per origin (MPI-2)
 	all map[int]*epoch // lock-all mode accounting (MPI-3); nil when inactive
-
-	// Active-target (fence) mode state.
-	fenced   bool
-	fenceEps map[int]*epoch
 }
 
 // epoch is the origin-side record of an open access epoch.
@@ -364,9 +360,6 @@ func (w *Win) Lock(lt LockType, target int) error {
 	}
 	if w.all != nil {
 		return fmt.Errorf("mpi: Win.Lock(%v,%d) while in lock-all mode is erroneous", lt, target)
-	}
-	if w.fenced {
-		return fmt.Errorf("mpi: Win.Lock(%v,%d) inside an active fence epoch is erroneous", lt, target)
 	}
 	if target < 0 || target >= len(w.state.group) {
 		return fmt.Errorf("mpi: Win.Lock: bad target %d", target)

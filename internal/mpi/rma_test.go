@@ -577,64 +577,3 @@ func TestCrossOriginSharedAccumulatesAllowed(t *testing.T) {
 		must(t, win.Unlock(2))
 	})
 }
-
-func TestActiveTargetFenceEpochs(t *testing.T) {
-	// SectionIII's active mode: collective fences bracket access
-	// epochs; everyone may put without locks, and data is visible
-	// after the closing fence.
-	withWin(t, 4, 64, func(r *Rank, win *Win, reg *fabric.Region) {
-		must(t, win.FenceSync()) // open the epoch
-		src := r.AllocMem(8)
-		copy(src.Backing(), []byte{byte(r.ID() + 1)})
-		next := (r.ID() + 1) % 4
-		must(t, win.FPut(LocalBuf{Region: src, Off: 0, Type: TypeContiguous(8)}, next, 0, TypeContiguous(8)))
-		must(t, win.FenceSync()) // complete the epoch
-		prev := byte((r.ID()+3)%4 + 1)
-		if reg.Backing()[0] != prev {
-			t.Errorf("rank %d: window byte = %d, want %d after fence", r.ID(), reg.Backing()[0], prev)
-		}
-		// Second epoch: everyone accumulates into rank 0.
-		fsrc := r.AllocMem(8)
-		copy(fsrc.Backing(), f64sToBytes([]float64{1}))
-		must(t, win.FAccumulate(LocalBuf{Region: fsrc, Off: 0, Type: TypeContiguous(8)}, OpSum, 0, 8, TypeContiguous(8)))
-		must(t, win.FenceExit())
-		if r.ID() == 0 {
-			if got := bytesToF64s(reg.Backing()[8:16])[0]; got != 4 {
-				t.Errorf("fenced accumulate = %v, want 4", got)
-			}
-		}
-	})
-}
-
-func TestActiveModeExclusions(t *testing.T) {
-	withWin(t, 2, 16, func(r *Rank, win *Win, reg *fabric.Region) {
-		src := r.AllocMem(8)
-		if err := win.FPut(LocalBuf{Region: src, Off: 0, Type: TypeContiguous(8)}, 1, 0, TypeContiguous(8)); err == nil {
-			t.Error("FPut outside a fence epoch accepted")
-		}
-		must(t, win.FenceSync())
-		if err := win.Lock(LockExclusive, 1); err == nil {
-			t.Error("passive lock inside an active epoch accepted")
-			must(t, win.Unlock(1))
-		}
-		must(t, win.FenceExit())
-		// After leaving active mode, passive locks work again.
-		must(t, win.Lock(LockExclusive, 1))
-		must(t, win.Unlock(1))
-	})
-}
-
-func TestFenceVsLockAllExclusion(t *testing.T) {
-	runMPI(t, 2, func(r *Rank) {
-		r.W.EnableMPI3()
-		reg := r.AllocMem(16)
-		win, err := WinCreate(r.CommWorld(), reg)
-		must(t, err)
-		must(t, win.LockAll())
-		if err := win.FenceSync(); err == nil {
-			t.Error("Win_fence while in lock-all accepted")
-		}
-		must(t, win.UnlockAll())
-		must(t, win.Free())
-	})
-}

@@ -6,8 +6,8 @@ import (
 	"repro/internal/sim"
 )
 
-// Sharded is the observability front for a multi-shard parallel run
-// (sim.ModeParallel with Shards > 1). A single Recorder relies on the
+// Sharded is the observability front for a multi-shard run
+// (sim.Engine with Shards > 1). A single Recorder relies on the
 // cooperative scheduler for single-threaded access, which a sharded
 // engine no longer guarantees: shard workers run concurrently within a
 // time window. Sharded therefore gives each shard a private Recorder —
@@ -19,7 +19,7 @@ import (
 // The merge is deterministic and, for everything per-rank indexed,
 // exact: a rank lives on exactly one shard, so the per-rank series of
 // different shards are disjoint and their sum is the union registry a
-// sequential run would have built. Under a node-aligned partition the
+// single-shard run would have built. Under a node-aligned partition the
 // same holds for per-node link telemetry. The merged trace is each
 // shard's (deterministic) event stream concatenated in shard id order —
 // stable across runs, though events of different shards appear grouped

@@ -1,47 +1,41 @@
 // Package sim provides a deterministic discrete-event simulation engine
 // in which "ranks" (processes of a simulated parallel machine) execute
 // under a cooperative scheduler. Exactly one flow of control — the
-// scheduler or a single rank — is active at any instant, so every run
-// is bit-reproducible: virtual time advances only when the event heap is
-// popped, and ties are broken by insertion sequence.
+// dispatcher or a single rank — is active at any instant within a
+// shard, so every run is bit-reproducible: virtual time advances only
+// when an event heap is popped, and ties are broken by insertion
+// sequence.
 //
 // Higher layers (fabric, MPI, ARMCI) are built from three primitives:
 // Elapse (charge local virtual time), Park/Unpark (block a rank until a
 // condition is signalled), and At (schedule a handler at a future virtual
 // time). Handlers run under the dispatcher and must not block.
 //
-// The engine has two execution modes, selected by the Mode field:
+// The engine has one dispatcher, the shard (see parallel.go). Ranks are
+// partitioned into shards, each with its own event heap, runnable FIFO,
+// clock, and continuation dispatcher: rank bodies run as resumable steps
+// on lazily spawned fibers, and whichever flow gives up control (a
+// parking rank, or a fiber whose body finished) executes the dispatch
+// loop and hands control directly to the next runnable flow with a
+// single wake. A finishing fiber keeps executing fresh rank bodies until
+// one parks (run-to-completion batching), and wake slots are pooled, so
+// a job's live goroutine count is the number of simultaneously parked
+// ranks, not N. Proc records live in one slab. This is what holds
+// 16k-rank sweeps.
 //
-//   - ModeGoroutine (the default and the reference): every rank gets its
-//     own goroutine up front, and a central scheduler goroutine resumes
-//     one rank at a time over a channel rendezvous. Each park costs two
-//     hops (rank -> scheduler -> next rank).
+// Engine.Shards is the only execution choice. With one shard (0 or 1,
+// the default) the engine executes the exact sequential schedule: one
+// heap, one sequence counter, and termination the instant the last rank
+// finishes. That is how the full communication stacks run. Multiple
+// shards execute concurrently inside conservative time windows bounded
+// by Lookahead and require a shard-confined workload (cross-shard
+// interaction only through AtRank with at least Lookahead of delay).
 //
-//   - ModeContinuation: rank bodies run as resumable steps driven
-//     directly by the event loop. There is no scheduler goroutine; the
-//     dispatch loop (the captured continuation of the simulation) is
-//     executed by whichever rank is parking or finishing, and control
-//     transfers to the next runnable rank with a single wake. Fibers are
-//     spawned lazily at first dispatch, a finishing fiber keeps executing
-//     fresh rank bodies until one parks (run-to-completion batching), and
-//     wake slots are pooled, so a job's live goroutine count is the
-//     number of simultaneously parked ranks, not N. Proc records live in
-//     one slab. This is the mode that holds 16k-rank sweeps.
-//
-//   - ModeParallel: ranks are partitioned into shards, each with its own
-//     event heap, runnable FIFO, clock, and continuation dispatcher, and
-//     the shards execute concurrently inside conservative time windows
-//     bounded by a lookahead (see parallel.go). With one shard the mode
-//     is exactly ModeContinuation — same heap, same sequence numbers,
-//     byte-identical observables — which is how the full communication
-//     stacks run under it; multiple shards require the workload to be
-//     shard-confined (cross-shard interaction only through AtRank with
-//     at least the configured Lookahead of delay).
-//
-// The sequential modes share the event heap, the runnable FIFO, and the
-// sequence numbering, so they produce byte-identical schedules, Stats
-// counters, and observer callback streams (see
-// TestContinuationEquivalence and TestParallelEquivalence).
+// The package tests keep a goroutine-per-rank reference scheduler (one
+// goroutine per rank resumed by a central loop, every Elapse a real
+// park) and prove the engine byte-identical to it in schedule, Stats
+// counters, and observer callback stream (TestContinuationEquivalence,
+// TestParallelEquivalence).
 //
 // The engine's own wall-clock cost is kept off the simulated results'
 // critical path by three mechanisms: events are value-typed in the heap
@@ -51,7 +45,7 @@
 // that advances the clock without any channel ping-pong whenever no
 // earlier event or runnable rank could interleave. The fast path
 // consumes the same sequence number and counts the same Parks and
-// Events as the slow path, so engine counters and every downstream
+// Events as the parked path, so engine counters and every downstream
 // virtual-time result are byte-identical whichever path runs.
 package sim
 
@@ -104,52 +98,6 @@ func (t Time) String() string {
 	default:
 		return fmt.Sprintf("%dns", int64(t))
 	}
-}
-
-// Mode selects the engine's execution strategy. Both modes produce
-// byte-identical virtual-time results; they differ only in host-side
-// goroutine and memory footprint.
-type Mode int
-
-const (
-	// ModeGoroutine runs one goroutine per rank under a central
-	// scheduler goroutine. The default and the reference semantics.
-	ModeGoroutine Mode = iota
-	// ModeContinuation runs rank bodies as resumable steps dispatched
-	// directly by the event loop: lazily spawned fibers, direct
-	// handoff, pooled wake slots, slab-allocated Proc records.
-	ModeContinuation
-	// ModeParallel runs continuation dispatchers on per-shard worker
-	// goroutines synchronized by a conservative time-window barrier;
-	// see parallel.go and the Engine.Shards/Partition/Lookahead fields.
-	ModeParallel
-)
-
-func (m Mode) String() string {
-	switch m {
-	case ModeGoroutine:
-		return "goroutine"
-	case ModeContinuation:
-		return "continuation"
-	case ModeParallel:
-		return "parallel"
-	default:
-		return fmt.Sprintf("Mode(%d)", int(m))
-	}
-}
-
-// ModeNames lists the valid ParseMode inputs, in declaration order.
-func ModeNames() []string { return []string{"goroutine", "continuation", "parallel"} }
-
-// ParseMode parses the String form of a Mode. The error enumerates the
-// valid names so CLI surfaces can fail fast with a usable message.
-func ParseMode(s string) (Mode, error) {
-	for i, name := range ModeNames() {
-		if s == name {
-			return Mode(i), nil
-		}
-	}
-	return 0, fmt.Errorf("sim: unknown scheduler mode %q (valid modes: goroutine, continuation, parallel)", s)
 }
 
 // event is one scheduled occurrence. Pure wakeups (Elapse) carry the
@@ -229,9 +177,9 @@ const (
 type Proc struct {
 	id      int
 	e       *Engine
-	sh      *shard // parallel mode: owning shard; nil in sequential modes
+	sh      *shard // owning shard
 	state   procState
-	started bool   // continuation mode: fiber exists (or body has run)
+	started bool   // fiber exists (or body has run)
 	why     string // what the proc is parked on, for deadlock reports
 	wake    chan struct{}
 }
@@ -242,14 +190,9 @@ func (p *Proc) ID() int { return p.id }
 // Engine returns the engine this proc belongs to.
 func (p *Proc) Engine() *Engine { return p.e }
 
-// Now returns the current virtual time: the global clock in the
-// sequential modes, the owning shard's clock in parallel mode.
-func (p *Proc) Now() Time {
-	if p.sh != nil {
-		return p.sh.now
-	}
-	return p.e.now
-}
+// Now returns the current virtual time of the rank's shard (with one
+// shard, the global clock).
+func (p *Proc) Now() Time { return p.sh.now }
 
 // Observer receives scheduling callbacks from the engine, giving
 // observability layers access to the virtual clock at the moments
@@ -268,7 +211,7 @@ type Observer interface {
 // observer also implements it, RankFinished fires as each rank's body
 // returns normally (never during an abnormal drain), carrying the
 // rank's completion time — the job makespan is the maximum over ranks.
-// In parallel mode the callback runs on the owning shard's worker
+// In a multi-shard run the callback runs on the owning shard's worker
 // against the shard's observer, like the other callbacks.
 type FinishObserver interface {
 	RankFinished(rank int, at Time)
@@ -277,76 +220,48 @@ type FinishObserver interface {
 // Engine runs a fixed set of ranks to completion under a virtual
 // clock.
 type Engine struct {
-	now    Time
-	seq    int64
-	events eventHeap
-	procs  []*Proc
+	procs []*Proc
+	stats Stats
+	obs   Observer
+	body  func(*Proc)
 
-	// Runnable ring buffer (FIFO). A proc appears at most once, so a
-	// fixed capacity of len(procs) suffices and pushes never allocate.
-	runq   []*Proc
-	rqHead int
-	rqLen  int
-
-	alive     int
-	schedWake chan struct{}
-	failure   error // first panic captured from a rank body
-	stats     Stats
-	obs       Observer
-	body      func(*Proc)
-
-	// Continuation-mode state: the root's completion channel, the pool
-	// of reusable wake slots, and the drain cursor.
-	rootDone chan error
-	chanPool []chan struct{}
+	// pending holds the events scheduled before Run; a single-shard Run
+	// adopts them with their sequence numbers.
+	pending eventHeap
 
 	// draining is set when the run is ending abnormally (rank panic,
 	// deadlock, or time limit): every remaining blocked rank is resumed
 	// once, in rank order, and unwinds via a drainSignal panic so its
 	// goroutine exits before Run returns.
-	draining    bool
-	drainErr    error
-	drainCursor int
-
-	// noInlineElapse disables Elapse's inline fast path; used by the
-	// scheduler-equivalence test to prove both paths produce identical
-	// schedules.
-	noInlineElapse bool
-
-	// Mode selects goroutine-per-rank or continuation dispatch. Set
-	// before Run; both modes are byte-identical in every virtual-time
-	// observable.
-	Mode Mode
+	draining bool
 
 	// MaxTime, when nonzero, aborts Run with ErrTimeLimit once the
 	// virtual clock passes it — a watchdog against virtual livelock
 	// (event chains that never let the ranks finish).
 	MaxTime Time
 
-	// Shards, Partition, and Lookahead configure ModeParallel; the
-	// sequential modes ignore them. Shards is the worker count (<=0
-	// means 1; clamped to the rank count). Partition maps rank ->
-	// shard in [0, Shards); nil means contiguous equal blocks.
-	// Lookahead is the conservative window width: a cross-shard event
-	// must be scheduled at least this far past the sending shard's
-	// window start. Required > 0 when Shards > 1; the fabric's
-	// MinCrossNodeLatency is the natural bound.
+	// Shards is the worker count (<=0 means 1; clamped to the rank
+	// count). Partition maps rank -> shard in [0, Shards); nil means
+	// contiguous equal blocks. Lookahead is the conservative window
+	// width: a cross-shard event must be scheduled at least this far
+	// past the sending shard's window start. Required > 0 when
+	// Shards > 1; the fabric's MinCrossNodeLatency is the natural bound.
 	Shards    int
 	Partition []int
 	Lookahead Time
 
 	// ShardObservers, when set, supplies one Observer per shard for
-	// multi-shard parallel runs (the single obs Observer would race).
-	// Callbacks arrive shard-concurrently but rank-sequentially: one
-	// shard never reports two ranks at once, and a given rank always
-	// reports from its home shard.
+	// multi-shard runs (the single obs Observer would race). Callbacks
+	// arrive shard-concurrently but rank-sequentially: one shard never
+	// reports two ranks at once, and a given rank always reports from
+	// its home shard.
 	ShardObservers func(shard int) Observer
 
-	// shardSet is the live shard array of a parallel run (nil in
-	// sequential modes); it stays valid after Run so post-run Now()
-	// reads resolve against the final shard clocks.
-	shardSet []*shard
-	reports  chan shardReport
+	// shards is the live shard array (nil before Run); it stays valid
+	// after Run so post-run Now() reads resolve against the final shard
+	// clocks.
+	shards  []*shard
+	reports chan shardReport
 }
 
 // ErrTimeLimit is returned by Run when the virtual clock exceeds
@@ -367,23 +282,22 @@ type Stats struct {
 }
 
 // NewEngine creates an empty engine at virtual time zero.
-func NewEngine() *Engine {
-	return &Engine{schedWake: make(chan struct{})}
-}
+func NewEngine() *Engine { return &Engine{} }
 
-// Now returns the current virtual time. It is safe to call from event
-// handlers and rank bodies alike. In a multi-shard parallel run there
-// is no global clock while shards execute, so Now panics there; use
-// Proc.Now or ShardClock instead. A single-shard parallel run (the
-// full-stack configuration) resolves to the one shard's clock.
+// Now returns the current virtual time: zero before Run, the one
+// shard's clock during and after a single-shard run. It is safe to call
+// from event handlers and rank bodies alike. In a multi-shard run there
+// is no global clock, so Now panics there; use Proc.Now or ShardClock
+// instead.
 func (e *Engine) Now() Time {
-	if n := len(e.shardSet); n > 0 {
-		if n == 1 {
-			return e.shardSet[0].now
-		}
-		panic("sim: Engine.Now has no global value in a multi-shard parallel run; use Proc.Now or ShardClock")
+	switch len(e.shards) {
+	case 0:
+		return 0
+	case 1:
+		return e.shards[0].now
+	default:
+		panic("sim: Engine.Now has no global value in a multi-shard run; use Proc.Now or ShardClock")
 	}
-	return e.now
 }
 
 // Stats returns engine counters. Valid after Run has returned.
@@ -394,34 +308,32 @@ func (e *Engine) Stats() Stats { return e.stats }
 func (e *Engine) Observe(o Observer) { e.obs = o }
 
 // At schedules fn to run at absolute virtual time t (clamped to now).
-// It may be called from a rank body or from another handler. Handlers
-// run under the dispatcher and must not block. In a multi-shard
-// parallel run the target shard is ambiguous, so At panics there
-// (schedule through AtRank); with one shard it resolves locally.
+// It may be called before Run, from a rank body, or from another
+// handler. Handlers run under the dispatcher and must not block. In a
+// multi-shard run the target shard is ambiguous, so At panics there
+// (schedule through AtRank).
 func (e *Engine) At(t Time, fn func()) {
-	if n := len(e.shardSet); n > 0 {
-		if e.draining {
-			return // unwinding cleanup; the run is over
+	switch {
+	case e.shards == nil:
+		if t < 0 {
+			t = 0
 		}
-		if n > 1 {
-			panic("sim: Engine.At is ambiguous in a multi-shard parallel run; use AtRank")
-		}
-		e.shardSet[0].at(t, fn)
-		return
+		e.pending.push(event{at: t, seq: int64(len(e.pending)) + 1, fn: fn})
+	case e.draining:
+		// Unwinding cleanup; the run is over.
+	case len(e.shards) > 1:
+		panic("sim: Engine.At is ambiguous in a multi-shard run; use AtRank")
+	default:
+		e.shards[0].at(t, fn)
 	}
-	if t < e.now {
-		t = e.now
-	}
-	e.seq++
-	e.events.push(event{at: t, seq: e.seq, fn: fn})
 }
 
 // After schedules fn to run d nanoseconds from now.
 func (e *Engine) After(d Time, fn func()) { e.At(e.Now()+d, fn) }
 
 // AtRank schedules fn at absolute virtual time t on behalf of rank
-// from, to run where rank to's state lives. In the sequential modes —
-// and whenever both ranks share a shard — it is exactly At. Across
+// from, to run where rank to's state lives. Whenever both ranks share
+// a shard — always, in a single-shard run — it is exactly At. Across
 // shards the event is appended to the sending shard's per-destination
 // outbox and merged into the target heap at the next window boundary,
 // ordered by (time, virtual send time, source shard, outbox sequence);
@@ -430,7 +342,7 @@ func (e *Engine) After(d Time, fn func()) { e.At(e.Now()+d, fn) }
 // It must be called from a flow of control running on rank from's
 // shard (from's rank body, or a handler scheduled to it).
 func (e *Engine) AtRank(t Time, from, to int, fn func()) {
-	if len(e.shardSet) == 0 {
+	if e.shards == nil {
 		e.At(t, fn)
 		return
 	}
@@ -453,16 +365,6 @@ func (e *Engine) AtRank(t Time, from, to int, fn func()) {
 		xev{at: t, sent: src.now, seq: src.outSeq, src: src.id, fn: fn})
 }
 
-// atWake schedules an unpark of p at absolute time t without building
-// a closure.
-func (e *Engine) atWake(t Time, p *Proc) {
-	if t < e.now {
-		t = e.now
-	}
-	e.seq++
-	e.events.push(event{at: t, seq: e.seq, wake: p})
-}
-
 // drainSignal is the panic value used to unwind a blocked rank body
 // when the run ends abnormally; the rank runner recognizes and
 // swallows it.
@@ -471,163 +373,75 @@ type drainSignal struct{}
 // Elapse charges d nanoseconds of virtual time to the calling rank:
 // the rank blocks and resumes once the clock has advanced by d.
 //
-// When no other rank is runnable, Elapse runs inline instead of
-// parking: it reserves the wake event's sequence number, dispatches any
-// events due before the wake exactly as the scheduler loop would (same
-// order, same clock updates, same counters), and advances the clock
-// itself — eliminating the park/unpark channel ping-pong. If a
-// dispatched event makes another rank runnable, that rank must run
-// before this one resumes, so Elapse falls back to a real park whose
-// wake event carries the reserved sequence number; every tie-break
-// then resolves exactly as the parked path would. Which flow of
-// control executes an event handler is invisible to the simulation, so
-// the two paths are indistinguishable in every virtual-time observable.
+// When no other rank is runnable and the wake lies inside the current
+// window, Elapse runs inline instead of parking: it reserves the wake
+// event's sequence number, dispatches any events due before the wake
+// exactly as the dispatch loop would (same order, same clock updates,
+// same counters), and advances the clock itself — eliminating the
+// park/unpark channel ping-pong. If a dispatched event makes another
+// rank runnable, that rank must run before this one resumes, so Elapse
+// falls back to a real park whose wake event carries the reserved
+// sequence number; every tie-break then resolves exactly as the parked
+// path would. Which flow of control executes an event handler is
+// invisible to the simulation, so the two paths are indistinguishable
+// in every virtual-time observable.
 func (p *Proc) Elapse(d Time) {
 	if d <= 0 {
 		return
 	}
-	if p.sh != nil {
-		p.sh.elapse(p, d)
-		return
-	}
-	e := p.e
+	sh, e := p.sh, p.e
 	if e.draining {
 		panic(drainSignal{})
 	}
-	due := e.now + d
-	if e.noInlineElapse || e.rqLen > 0 || (e.MaxTime > 0 && due > e.MaxTime) {
-		e.atWake(due, p)
-		p.Park("elapse")
+	due := sh.now + d
+	if sh.rqLen > 0 || (e.MaxTime > 0 && due > e.MaxTime) || due >= sh.windowEnd {
+		sh.atWake(due, p)
+		sh.park(p, "elapse", false)
 		return
 	}
 	// Reserve the wake event's sequence number before dispatching:
 	// events run below may schedule new events, and a tie at due must
 	// resolve in favor of this wake exactly as the parked path would.
-	e.seq++
-	wakeSeq := e.seq
-	e.stats.Parks++
-	if e.obs != nil {
-		e.obs.RankParked(p.id, "elapse", e.now)
+	sh.seq++
+	wakeSeq := sh.seq
+	sh.stats.Parks++
+	if sh.obs != nil {
+		sh.obs.RankParked(p.id, "elapse", sh.now)
 	}
 	for {
-		if len(e.events) == 0 || e.events[0].at > due ||
-			(e.events[0].at == due && e.events[0].seq > wakeSeq) {
+		if len(sh.events) == 0 || sh.events[0].at > due ||
+			(sh.events[0].at == due && sh.events[0].seq > wakeSeq) {
 			// The wake event would be dispatched next: count it and
 			// advance inline.
-			e.stats.Events++
-			e.now = due
-			if e.obs != nil {
-				e.obs.RankResumed(p.id, e.now)
+			sh.stats.Events++
+			sh.now = due
+			if sh.obs != nil {
+				sh.obs.RankResumed(p.id, sh.now)
 			}
 			return
 		}
-		// Dispatch the earlier event exactly as the scheduler loop would.
-		ev := e.events.pop()
-		if ev.at > e.now {
-			e.now = ev.at
+		// Dispatch the earlier event exactly as the dispatch loop would.
+		ev := sh.events.pop()
+		if ev.at > sh.now {
+			sh.now = ev.at
 		}
-		e.stats.Events++
+		sh.stats.Events++
 		if ev.wake != nil {
 			e.Unpark(ev.wake)
 		} else {
 			ev.fn()
 		}
-		if e.rqLen > 0 {
-			e.events.push(event{at: due, seq: wakeSeq, wake: p})
-			p.parkReserved("elapse")
+		if sh.rqLen > 0 {
+			sh.events.push(event{at: due, seq: wakeSeq, wake: p})
+			sh.park(p, "elapse", true)
 			return
 		}
 	}
 }
 
-// parkReserved parks like Park but without re-counting the park or
-// re-notifying the observer: Elapse's inline path has already done
-// both.
-func (p *Proc) parkReserved(why string) {
-	e := p.e
-	if e.Mode == ModeContinuation {
-		p.contPark(why, true)
-		return
-	}
-	p.state = stateParked
-	p.why = why
-	e.schedWake <- struct{}{}
-	<-p.wake
-	if e.draining {
-		panic(drainSignal{})
-	}
-	p.state = stateRunning
-	p.why = ""
-	if e.obs != nil {
-		e.obs.RankResumed(p.id, e.now)
-	}
-}
-
 // Park blocks the calling rank until another component calls Unpark on
 // it. The why string is reported if the simulation deadlocks.
-func (p *Proc) Park(why string) {
-	e := p.e
-	if e.draining {
-		panic(drainSignal{})
-	}
-	if p.sh != nil {
-		p.sh.park(p, why, false)
-		return
-	}
-	if e.Mode == ModeContinuation {
-		p.contPark(why, false)
-		return
-	}
-	p.state = stateParked
-	p.why = why
-	e.stats.Parks++
-	if e.obs != nil {
-		e.obs.RankParked(p.id, why, e.now)
-	}
-	e.schedWake <- struct{}{} // hand control to the scheduler
-	<-p.wake                  // wait to be resumed
-	if e.draining {
-		panic(drainSignal{})
-	}
-	p.state = stateRunning
-	p.why = ""
-	if e.obs != nil {
-		e.obs.RankResumed(p.id, e.now)
-	}
-}
-
-// contPark is the continuation-mode park: the parking rank itself
-// executes the dispatch loop (the simulation's continuation) and hands
-// control directly to the next runnable flow, then blocks on its
-// pooled wake slot until a wake event or Unpark resumes it. preCounted
-// marks parks whose statistics and observer callback were already
-// recorded by Elapse's inline path.
-func (p *Proc) contPark(why string, preCounted bool) {
-	e := p.e
-	if e.draining {
-		panic(drainSignal{})
-	}
-	p.state = stateParked
-	p.why = why
-	if !preCounted {
-		e.stats.Parks++
-		if e.obs != nil {
-			e.obs.RankParked(p.id, why, e.now)
-		}
-	}
-	if next := e.advance(false); next != nil {
-		panic("sim: internal: advance(false) returned a fresh proc")
-	}
-	<-p.wake
-	if e.draining {
-		panic(drainSignal{})
-	}
-	p.state = stateRunning
-	p.why = ""
-	if e.obs != nil {
-		e.obs.RankResumed(p.id, e.now)
-	}
-}
+func (p *Proc) Park(why string) { p.sh.park(p, why, false) }
 
 // Unpark marks a parked rank runnable. It may be called from event
 // handlers or from the body of another (currently active) rank. Calling
@@ -645,11 +459,7 @@ func (e *Engine) Unpark(p *Proc) {
 	switch p.state {
 	case stateParked:
 		p.state = stateRunnable
-		if p.sh != nil {
-			p.sh.pushRunnable(p)
-		} else {
-			e.pushRunnable(p)
-		}
+		p.sh.pushRunnable(p)
 	case stateRunnable:
 		// Already queued; nothing to do.
 	case stateDone:
@@ -657,26 +467,6 @@ func (e *Engine) Unpark(p *Proc) {
 	default:
 		panic(fmt.Sprintf("sim: unpark of running rank %d", p.id))
 	}
-}
-
-func (e *Engine) pushRunnable(p *Proc) {
-	i := e.rqHead + e.rqLen
-	if i >= len(e.runq) {
-		i -= len(e.runq)
-	}
-	e.runq[i] = p
-	e.rqLen++
-}
-
-func (e *Engine) popRunnable() *Proc {
-	p := e.runq[e.rqHead]
-	e.runq[e.rqHead] = nil
-	e.rqHead++
-	if e.rqHead == len(e.runq) {
-		e.rqHead = 0
-	}
-	e.rqLen--
-	return p
 }
 
 // Deadlock is returned (wrapped) by Run when every rank is parked and no
@@ -706,326 +496,6 @@ type rankPanic struct {
 
 func (r *rankPanic) Error() string {
 	return fmt.Sprintf("sim: rank %d panicked: %v", r.rank, r.val)
-}
-
-// deadlockError builds the Deadlock report from the current park set.
-func (e *Engine) deadlockError() *Deadlock {
-	d := &Deadlock{Time: e.now, Waiting: map[int]string{}}
-	for _, p := range e.procs {
-		if p.state == stateParked {
-			d.Waiting[p.id] = p.why
-		}
-	}
-	return d
-}
-
-// Run creates n ranks and executes body(p) on each, returning once all
-// ranks have finished. It returns an error if the simulation deadlocks
-// or any rank body panics; in every case — success or failure — all
-// rank goroutines have exited by the time Run returns (abnormal ends
-// drain the blocked ranks deterministically, in rank order). Run may
-// be called repeatedly on fresh engines but not concurrently on the
-// same engine.
-func (e *Engine) Run(n int, body func(p *Proc)) error {
-	if n <= 0 {
-		return fmt.Errorf("sim: Run needs n > 0, got %d", n)
-	}
-	e.body = body
-	e.procs = make([]*Proc, n)
-	if e.Mode == ModeParallel {
-		return e.runParallel(n)
-	}
-	e.runq = make([]*Proc, n)
-	e.alive = n
-	if e.Mode == ModeContinuation {
-		return e.runContinuation(n)
-	}
-	return e.runGoroutine(n)
-}
-
-// runGoroutine is the reference scheduler: one goroutine per rank,
-// resumed by a central loop.
-func (e *Engine) runGoroutine(n int) error {
-	for i := 0; i < n; i++ {
-		p := &Proc{id: i, e: e, state: stateRunnable, wake: make(chan struct{})}
-		e.procs[i] = p
-		e.pushRunnable(p)
-	}
-	for _, p := range e.procs {
-		p := p
-		go func() {
-			defer func() {
-				r := recover()
-				if r != nil {
-					if _, drained := r.(drainSignal); !drained && e.failure == nil {
-						e.failure = &rankPanic{rank: p.id, val: r}
-					}
-				}
-				p.state = stateDone
-				e.alive--
-				if r == nil && !e.draining {
-					if f, ok := e.obs.(FinishObserver); ok {
-						f.RankFinished(p.id, e.now)
-					}
-				}
-				e.schedWake <- struct{}{}
-			}()
-			<-p.wake // wait for first dispatch
-			if e.draining {
-				return
-			}
-			p.state = stateRunning
-			e.body(p)
-		}()
-	}
-	// Scheduler loop: run ranks until none is runnable, then pop events.
-	for {
-		if e.failure != nil {
-			return e.drainGoroutines(e.failure)
-		}
-		if e.rqLen > 0 {
-			p := e.popRunnable()
-			p.wake <- struct{}{}
-			<-e.schedWake // rank parked or exited
-			continue
-		}
-		if e.alive == 0 {
-			e.stats.FinalTime = e.now
-			return nil
-		}
-		if len(e.events) == 0 {
-			return e.drainGoroutines(e.deadlockError())
-		}
-		ev := e.events.pop()
-		if ev.at > e.now {
-			e.now = ev.at
-		}
-		if e.MaxTime > 0 && e.now > e.MaxTime {
-			return e.drainGoroutines(&ErrTimeLimit{At: e.now})
-		}
-		e.stats.Events++
-		if ev.wake != nil {
-			e.Unpark(ev.wake)
-		} else {
-			ev.fn()
-		}
-	}
-}
-
-// drainGoroutines ends an abnormal goroutine-mode run without leaking:
-// every rank goroutine that has not finished is blocked on its wake
-// channel (at first dispatch or inside Park), so each is resumed once,
-// in rank order, unwinds via drainSignal, and signals the scheduler
-// back before the next is woken. Engine statistics and observers see
-// nothing: the drain happens after the run's last observable instant.
-func (e *Engine) drainGoroutines(err error) error {
-	e.draining = true
-	e.drainErr = err
-	for _, p := range e.procs {
-		if p.state == stateDone {
-			continue
-		}
-		p.wake <- struct{}{}
-		<-e.schedWake
-	}
-	return err
-}
-
-// runContinuation is the continuation-mode driver: Proc records are
-// slab-allocated, fibers are spawned lazily at first dispatch, and the
-// root goroutine only seeds the dispatch loop and waits for the
-// simulation's terminal handoff.
-func (e *Engine) runContinuation(n int) error {
-	e.rootDone = make(chan error, 1)
-	slab := make([]Proc, n)
-	for i := range slab {
-		p := &slab[i]
-		p.id = i
-		p.e = e
-		p.state = stateRunnable
-		e.procs[i] = p
-		e.pushRunnable(p)
-	}
-	// Hand control to the first dispatch; the run ends when some fiber
-	// executes the terminal transfer on rootDone.
-	if next := e.advance(false); next != nil {
-		panic("sim: internal: advance(false) returned a fresh proc")
-	}
-	return <-e.rootDone
-}
-
-// advance is the continuation-mode dispatch loop, executed by whatever
-// flow of control is giving up the simulation (a parking rank, a
-// finished body's fiber, or the root at startup). It mirrors the
-// goroutine scheduler loop statement for statement — same runnable
-// FIFO, same event heap pops, same counter updates — and returns after
-// handing control to exactly one successor. When the next runnable
-// rank is fresh (no fiber yet) and the caller can run it on its own
-// goroutine (mayInline), the proc is returned instead; otherwise a new
-// fiber is spawned for it. A nil return means control went elsewhere.
-func (e *Engine) advance(mayInline bool) *Proc {
-	for {
-		if e.draining {
-			e.drainNext()
-			return nil
-		}
-		if e.failure != nil {
-			e.terminate(e.failure)
-			return nil
-		}
-		if e.rqLen > 0 {
-			p := e.popRunnable()
-			if p.started {
-				p.wake <- struct{}{} // resume the parked fiber; never blocks (cap 1)
-				return nil
-			}
-			if mayInline {
-				return p
-			}
-			e.spawnFiber(p)
-			return nil
-		}
-		if e.alive == 0 {
-			e.stats.FinalTime = e.now
-			e.rootDone <- nil
-			return nil
-		}
-		if len(e.events) == 0 {
-			e.terminate(e.deadlockError())
-			return nil
-		}
-		ev := e.events.pop()
-		if ev.at > e.now {
-			e.now = ev.at
-		}
-		if e.MaxTime > 0 && e.now > e.MaxTime {
-			e.terminate(&ErrTimeLimit{At: e.now})
-			return nil
-		}
-		e.stats.Events++
-		if ev.wake != nil {
-			e.Unpark(ev.wake)
-		} else {
-			ev.fn()
-		}
-	}
-}
-
-// getChan takes a wake slot from the pool (or makes one). Wake slots
-// have capacity one so a handoff never blocks the sender; a slot is
-// returned to the pool when its fiber's body finishes, so steady-state
-// dispatch allocates nothing.
-func (e *Engine) getChan() chan struct{} {
-	if n := len(e.chanPool); n > 0 {
-		ch := e.chanPool[n-1]
-		e.chanPool[n-1] = nil
-		e.chanPool = e.chanPool[:n-1]
-		return ch
-	}
-	return make(chan struct{}, 1)
-}
-
-func (e *Engine) putChan(ch chan struct{}) {
-	e.chanPool = append(e.chanPool, ch)
-}
-
-// spawnFiber starts the lazily created goroutine that will run p's
-// body (and, after it finishes, any further fresh bodies the dispatch
-// loop hands it).
-func (e *Engine) spawnFiber(p *Proc) {
-	p.started = true
-	p.wake = e.getChan()
-	go e.fiberLoop(p)
-}
-
-// fiberLoop runs rank bodies to completion on one goroutine: after a
-// body finishes, the fiber itself drives the dispatch loop, and if the
-// next dispatch is a fresh rank it runs that body in place instead of
-// spawning — so phases where ranks finish back-to-back execute on a
-// single goroutine.
-func (e *Engine) fiberLoop(p *Proc) {
-	for {
-		e.runBody(p)
-		ch := p.wake
-		p.wake = nil
-		e.putChan(ch) // before advance: the slot may serve the next spawn
-		next := e.advance(true)
-		if next == nil {
-			return
-		}
-		next.started = true
-		next.wake = e.getChan()
-		p = next
-	}
-}
-
-// runBody executes one rank body with the same recovery semantics as
-// the goroutine-mode runner. In parallel mode the failure and alive
-// bookkeeping is per shard: shards run concurrently, and the
-// coordinator merges their outcomes deterministically at the barrier.
-func (e *Engine) runBody(p *Proc) {
-	defer func() {
-		r := recover()
-		if r != nil {
-			if _, drained := r.(drainSignal); !drained {
-				if sh := p.sh; sh != nil {
-					if sh.failure == nil {
-						sh.failure = &rankPanic{rank: p.id, val: r}
-					}
-				} else if e.failure == nil {
-					e.failure = &rankPanic{rank: p.id, val: r}
-				}
-			}
-		}
-		p.state = stateDone
-		if sh := p.sh; sh != nil {
-			sh.alive--
-			if sh.alive == 0 {
-				sh.lastFinish = sh.now
-			}
-			if r == nil && !e.draining {
-				if f, ok := sh.obs.(FinishObserver); ok {
-					f.RankFinished(p.id, sh.now)
-				}
-			}
-		} else {
-			e.alive--
-			if r == nil && !e.draining {
-				if f, ok := e.obs.(FinishObserver); ok {
-					f.RankFinished(p.id, e.now)
-				}
-			}
-		}
-	}()
-	p.state = stateRunning
-	e.body(p)
-}
-
-// terminate begins the abnormal end of a continuation-mode run: record
-// the error, then resume each blocked fiber once (in rank order) so it
-// unwinds and exits; the last drain step performs the terminal
-// handoff to the root.
-func (e *Engine) terminate(err error) {
-	e.draining = true
-	e.drainErr = err
-	e.drainNext()
-}
-
-// drainNext resumes the next blocked fiber (parked, or runnable but
-// not yet handed the token — both block on their wake slot) so it can
-// unwind, or signals the root when none remain. Never-started ranks
-// have no goroutine and need no draining. The cursor is monotonic:
-// states cannot regress during a drain (Unpark is a no-op).
-func (e *Engine) drainNext() {
-	for e.drainCursor < len(e.procs) {
-		p := e.procs[e.drainCursor]
-		e.drainCursor++
-		if p.started && p.state != stateDone {
-			p.wake <- struct{}{}
-			return
-		}
-	}
-	e.rootDone <- e.drainErr
 }
 
 // Procs returns the engine's ranks; valid during and after Run.

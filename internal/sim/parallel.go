@@ -1,10 +1,9 @@
-// Parallel mode: conservative time-window execution of the simulator
-// across host cores.
+// Shard dispatch: the engine's only dispatcher, and conservative
+// time-window execution across host cores.
 //
 // Ranks are partitioned into shards. Each shard owns a private event
 // heap, runnable FIFO, virtual clock, sequence counter, and a full
-// continuation dispatcher (the exact machinery of ModeContinuation,
-// instantiated per shard), and executes on its own worker flow. Shards
+// continuation dispatcher, and executes on its own worker flow. Shards
 // synchronize through a window barrier run by the coordinator (the
 // goroutine that called Run):
 //
@@ -24,28 +23,27 @@
 // runs are byte-identical regardless of host scheduling.
 //
 // With a single shard windowEnd is unbounded and no event ever crosses
-// a shard boundary, so the run is statement-for-statement
-// ModeContinuation: same heap order, same sequence numbers, same
-// Stats, same observer stream. That is the configuration the full
-// communication stacks use (their layers mutate remote-rank state
-// synchronously — NIC clocks, lock queues, window memory — which no
-// partition can confine). Multi-shard runs require a shard-confined
-// workload: ranks touch only their own shard's state, and all
-// cross-shard interaction flows through AtRank with at least Lookahead
-// of virtual delay. fabric's sharded delivery path provides exactly
-// that contract for node-aligned partitions.
+// a shard boundary, so the run is the exact sequential schedule. That
+// is the configuration the full communication stacks use (their layers
+// mutate remote-rank state synchronously — NIC clocks, lock queues,
+// window memory — which no partition can confine). Multi-shard runs
+// require a shard-confined workload: ranks touch only their own
+// shard's state, and all cross-shard interaction flows through AtRank
+// with at least Lookahead of virtual delay. fabric's sharded delivery
+// path provides exactly that contract for node-aligned partitions.
 //
-// Divergences from the sequential modes, by design:
+// Divergences of multi-shard runs from the single-shard schedule, by
+// design:
 //
-//   - The sequential engine stops the instant global alive hits zero
-//     and drops any still-scheduled events. A multi-shard run only
-//     observes "all ranks done" at a window barrier, so events inside
-//     the final window may still dispatch. Workloads that end quiescent
-//     (every scheduled event consumed before the last rank exits) are
+//   - One shard stops the instant its last rank finishes and drops any
+//     still-scheduled events. A multi-shard run only observes "all
+//     ranks done" at a window barrier, so events inside the final
+//     window may still dispatch. Workloads that end quiescent (every
+//     scheduled event consumed before the last rank exits) are
 //     unaffected, and equivalence tests use such workloads.
 //   - MaxTime aborts at the first clock crossing per shard; when
 //     several shards cross in one window, the lowest shard id's error
-//     wins (deterministically), where the sequential engine would have
+//     wins (deterministically), where a single shard would have
 //     reported the temporally first.
 package sim
 
@@ -90,13 +88,13 @@ type shardCmd struct {
 
 // shard is one partition's private engine state plus its barrier
 // endpoints. Exactly one flow of control runs a shard's dispatcher at
-// any instant (the same invariant ModeContinuation maintains globally),
-// so none of these fields need locks; the barrier channels provide the
-// happens-before edges between shard flows and the coordinator.
+// any instant, so none of these fields need locks; the barrier
+// channels provide the happens-before edges between shard flows and
+// the coordinator.
 type shard struct {
 	e    *Engine
 	id   int
-	solo bool // single-shard run: exact sequential semantics
+	solo bool // single-shard run: exact sequential termination
 
 	now    Time
 	seq    int64
@@ -163,60 +161,11 @@ func (sh *shard) popRunnable() *Proc {
 	return p
 }
 
-// elapse is Proc.Elapse on a shard: the same inline fast path as the
-// sequential engine, with one extra guard — the wake must land inside
-// the current window, else the rank parks and the wake event waits for
-// a window that covers it.
-func (sh *shard) elapse(p *Proc, d Time) {
-	e := sh.e
-	if e.draining {
-		panic(drainSignal{})
-	}
-	due := sh.now + d
-	if e.noInlineElapse || sh.rqLen > 0 || (e.MaxTime > 0 && due > e.MaxTime) || due >= sh.windowEnd {
-		sh.atWake(due, p)
-		sh.park(p, "elapse", false)
-		return
-	}
-	// Reserve the wake's sequence number before dispatching, exactly
-	// as the sequential inline path does.
-	sh.seq++
-	wakeSeq := sh.seq
-	sh.stats.Parks++
-	if sh.obs != nil {
-		sh.obs.RankParked(p.id, "elapse", sh.now)
-	}
-	for {
-		if len(sh.events) == 0 || sh.events[0].at > due ||
-			(sh.events[0].at == due && sh.events[0].seq > wakeSeq) {
-			sh.stats.Events++
-			sh.now = due
-			if sh.obs != nil {
-				sh.obs.RankResumed(p.id, sh.now)
-			}
-			return
-		}
-		ev := sh.events.pop()
-		if ev.at > sh.now {
-			sh.now = ev.at
-		}
-		sh.stats.Events++
-		if ev.wake != nil {
-			e.Unpark(ev.wake)
-		} else {
-			ev.fn()
-		}
-		if sh.rqLen > 0 {
-			sh.events.push(event{at: due, seq: wakeSeq, wake: p})
-			sh.park(p, "elapse", true)
-			return
-		}
-	}
-}
-
-// park is contPark on a shard: the parking rank executes the shard's
-// dispatch loop, hands control to the next runnable flow, and blocks
-// on its pooled wake slot.
+// park blocks p: the parking rank itself executes the shard's dispatch
+// loop (the simulation's continuation), hands control directly to the
+// next runnable flow, and blocks on its pooled wake slot until a wake
+// event or Unpark resumes it. preCounted marks parks whose statistics
+// and observer callback Elapse's inline path already recorded.
 func (sh *shard) park(p *Proc, why string, preCounted bool) {
 	e := sh.e
 	if e.draining {
@@ -231,7 +180,7 @@ func (sh *shard) park(p *Proc, why string, preCounted bool) {
 		}
 	}
 	if next := sh.advance(false); next != nil {
-		panic("sim: internal: shard advance(false) returned a fresh proc")
+		panic("sim: internal: advance(false) returned a fresh proc")
 	}
 	<-p.wake
 	if e.draining {
@@ -244,9 +193,15 @@ func (sh *shard) park(p *Proc, why string, preCounted bool) {
 	}
 }
 
-// advance is the shard's dispatch loop, mirroring Engine.advance. The
-// extra exit is the window bound: when nothing is dispatchable below
-// windowEnd, the current flow carries the shard into the barrier and
+// advance is the shard's dispatch loop, executed by whatever flow of
+// control is giving up the shard (a parking rank, a finished body's
+// fiber, or the shard's seed flow at startup). It returns after handing
+// control to exactly one successor. When the next runnable rank is
+// fresh (no fiber yet) and the caller can run it on its own goroutine
+// (mayInline), the proc is returned instead; otherwise a new fiber is
+// spawned for it. A nil return means control went elsewhere. When
+// nothing is dispatchable below windowEnd (or the shard is finished or
+// failed), the current flow carries the shard into the barrier and
 // resumes dispatching when the coordinator opens the next window.
 func (sh *shard) advance(mayInline bool) *Proc {
 	e := sh.e
@@ -360,9 +315,10 @@ func (sh *shard) ingest(inbox []xev) {
 	}
 }
 
-// getChan / putChan / spawnFiber / fiberLoop / drainNext are the
-// continuation-mode fiber machinery, per shard.
-
+// getChan takes a wake slot from the pool (or makes one). Wake slots
+// have capacity one so a handoff never blocks the sender; a slot is
+// returned to the pool when its fiber's body finishes, so steady-state
+// dispatch allocates nothing.
 func (sh *shard) getChan() chan struct{} {
 	if n := len(sh.chanPool); n > 0 {
 		ch := sh.chanPool[n-1]
@@ -377,18 +333,26 @@ func (sh *shard) putChan(ch chan struct{}) {
 	sh.chanPool = append(sh.chanPool, ch)
 }
 
+// spawnFiber starts the lazily created goroutine that will run p's
+// body (and, after it finishes, any further fresh bodies the dispatch
+// loop hands it).
 func (sh *shard) spawnFiber(p *Proc) {
 	p.started = true
 	p.wake = sh.getChan()
 	go sh.fiberLoop(p)
 }
 
+// fiberLoop runs rank bodies to completion on one goroutine: after a
+// body finishes, the fiber itself drives the dispatch loop, and if the
+// next dispatch is a fresh rank it runs that body in place instead of
+// spawning — so phases where ranks finish back-to-back execute on a
+// single goroutine.
 func (sh *shard) fiberLoop(p *Proc) {
 	for {
-		sh.e.runBody(p)
+		sh.runBody(p)
 		ch := p.wake
 		p.wake = nil
-		sh.putChan(ch)
+		sh.putChan(ch) // before advance: the slot may serve the next spawn
 		next := sh.advance(true)
 		if next == nil {
 			return
@@ -399,10 +363,40 @@ func (sh *shard) fiberLoop(p *Proc) {
 	}
 }
 
-// drainNext resumes the shard's next blocked fiber in rank order so it
-// unwinds, or signals the coordinator when none remain. Drains of
-// different shards never overlap: the coordinator walks shards in id
-// order and waits for each handshake.
+// runBody executes one rank body, recording a panic as the shard's
+// failure and counting the rank finished. Shards run concurrently, so
+// the failure and alive bookkeeping is per shard; the coordinator
+// merges outcomes deterministically at the barrier.
+func (sh *shard) runBody(p *Proc) {
+	defer func() {
+		r := recover()
+		if r != nil {
+			if _, drained := r.(drainSignal); !drained && sh.failure == nil {
+				sh.failure = &rankPanic{rank: p.id, val: r}
+			}
+		}
+		p.state = stateDone
+		sh.alive--
+		if sh.alive == 0 {
+			sh.lastFinish = sh.now
+		}
+		if r == nil && !sh.e.draining {
+			if f, ok := sh.obs.(FinishObserver); ok {
+				f.RankFinished(p.id, sh.now)
+			}
+		}
+	}()
+	p.state = stateRunning
+	sh.e.body(p)
+}
+
+// drainNext resumes the shard's next blocked fiber (parked, or runnable
+// but not yet handed the token — both block on their wake slot) so it
+// unwinds, or signals the coordinator when none remain. Never-started
+// ranks have no goroutine and need no draining. The cursor is
+// monotonic: states cannot regress during a drain (Unpark is a no-op).
+// Drains of different shards never overlap: the coordinator walks
+// shards in id order and waits for each handshake.
 func (sh *shard) drainNext() {
 	for sh.drainCursor < len(sh.procs) {
 		p := sh.procs[sh.drainCursor]
@@ -416,20 +410,20 @@ func (sh *shard) drainNext() {
 }
 
 // ShardClock is a per-shard virtual clock view, usable as an observer
-// clock before, during, and after a parallel Run (it resolves lazily,
-// so it can be constructed before the shards exist).
+// clock before, during, and after Run (it resolves lazily, so it can be
+// constructed before the shards exist).
 type ShardClock struct {
 	e *Engine
 	s int
 }
 
-// Now returns the shard's current virtual time (the engine's global
-// clock until the parallel run materializes its shards).
+// Now returns the shard's current virtual time (zero until Run
+// materializes the shards).
 func (c ShardClock) Now() Time {
-	if c.s < len(c.e.shardSet) {
-		return c.e.shardSet[c.s].now
+	if c.s < len(c.e.shards) {
+		return c.e.shards[c.s].now
 	}
-	return c.e.now
+	return 0
 }
 
 // ShardClock returns the clock view of shard s.
@@ -458,10 +452,19 @@ func (e *Engine) shardCount(n int) int {
 	return k
 }
 
-// runParallel is the ModeParallel driver: it materializes the shards,
-// starts one worker flow per shard, then runs the window barrier until
-// the simulation finishes, deadlocks, times out, or fails.
-func (e *Engine) runParallel(n int) error {
+// Run creates n ranks and executes body(p) on each, returning once all
+// ranks have finished. It materializes the shards, starts one worker
+// flow per shard, then runs the window barrier until the simulation
+// finishes, deadlocks, times out, or fails. It returns an error if the
+// simulation deadlocks or any rank body panics; in every case — success
+// or failure — all rank goroutines have exited by the time Run returns
+// (abnormal ends drain the blocked ranks deterministically, in rank
+// order). Run may be called repeatedly on fresh engines but not
+// concurrently on the same engine.
+func (e *Engine) Run(n int, body func(p *Proc)) error {
+	if n <= 0 {
+		return fmt.Errorf("sim: Run needs n > 0, got %d", n)
+	}
 	k := e.shardCount(n)
 	if e.Partition != nil {
 		if len(e.Partition) != n {
@@ -475,16 +478,17 @@ func (e *Engine) runParallel(n int) error {
 	}
 	if k > 1 {
 		if e.Lookahead <= 0 {
-			return fmt.Errorf("sim: ModeParallel with %d shards requires Lookahead > 0", k)
+			return fmt.Errorf("sim: %d shards require Lookahead > 0", k)
 		}
 		if e.obs != nil && e.ShardObservers == nil {
 			return fmt.Errorf("sim: a single Observer would race across %d shards; use ShardObservers", k)
 		}
-		if len(e.events) > 0 {
+		if len(e.pending) > 0 {
 			return fmt.Errorf("sim: events scheduled before a multi-shard Run have no home shard; use AtRank after Run starts")
 		}
 	}
-
+	e.body = body
+	e.procs = make([]*Proc, n)
 	e.reports = make(chan shardReport, k)
 	shards := make([]*shard, k)
 	for s := range shards {
@@ -504,11 +508,11 @@ func (e *Engine) runParallel(n int) error {
 		}
 		shards[s] = sh
 	}
-	if k == 1 && len(e.events) > 0 {
+	if k == 1 {
 		// Events scheduled before Run keep their sequence numbers.
-		shards[0].events = e.events
-		shards[0].seq = e.seq
-		e.events = nil
+		shards[0].events = e.pending
+		shards[0].seq = int64(len(e.pending))
+		e.pending = nil
 	}
 	slab := make([]Proc, n)
 	for i := range slab {
@@ -533,7 +537,7 @@ func (e *Engine) runParallel(n int) error {
 			sh.windowEnd = e.Lookahead
 		}
 	}
-	e.shardSet = shards
+	e.shards = shards
 
 	for _, sh := range shards {
 		sh := sh
@@ -603,8 +607,8 @@ func (e *Engine) coordinate(shards []*shard) error {
 		case next == MaxTime:
 			return e.parDrain(shards, e.parDeadlock(shards))
 		case e.MaxTime > 0 && next > e.MaxTime:
-			// The earliest event anywhere lies beyond the limit; the
-			// sequential engine would dispatch it and abort at its
+			// The earliest event anywhere lies beyond the limit; a
+			// single shard would dispatch it and abort at its
 			// timestamp.
 			return e.parDrain(shards, &ErrTimeLimit{At: next})
 		}
@@ -621,14 +625,14 @@ func (e *Engine) coordinate(shards []*shard) error {
 	}
 }
 
-// parDrain ends an abnormal parallel run: shards drain one at a time,
-// in shard id order, each unwinding its blocked fibers in rank order —
-// so the full drain sequence is deterministic and every goroutine has
-// exited when Run returns. FinalTime stays zero, matching the
-// sequential modes' abnormal ends.
+// parDrain ends an abnormal run: shards drain one at a time, in shard
+// id order, each unwinding its blocked fibers in rank order — so the
+// full drain sequence is deterministic and every goroutine has exited
+// when Run returns. FinalTime stays zero. Engine statistics and
+// observers see nothing of the drain: it happens after the run's last
+// observable instant.
 func (e *Engine) parDrain(shards []*shard, err error) error {
 	e.draining = true
-	e.drainErr = err
 	for _, sh := range shards {
 		sh.cmd <- shardCmd{kind: cmdDrain}
 		<-sh.done
@@ -637,9 +641,9 @@ func (e *Engine) parDrain(shards []*shard, err error) error {
 	return err
 }
 
-// parDeadlock builds the deadlock report for a parallel run: no shard
-// has events, every living rank is parked. Time is the latest shard
-// clock (for one shard, exactly the sequential report).
+// parDeadlock builds the deadlock report: no shard has events, every
+// living rank is parked. Time is the latest shard clock (for one shard,
+// its clock).
 func (e *Engine) parDeadlock(shards []*shard) *Deadlock {
 	var at Time
 	for _, sh := range shards {
@@ -658,7 +662,7 @@ func (e *Engine) parDeadlock(shards []*shard) *Deadlock {
 
 // mergeShardStats folds per-shard counters into the engine's Stats.
 // Every event is dispatched by exactly one shard and every park is
-// counted by exactly one shard, so the sums equal the sequential
+// counted by exactly one shard, so the sums equal the single-shard
 // counts for equivalent schedules.
 func (e *Engine) mergeShardStats(shards []*shard) {
 	for _, sh := range shards {
