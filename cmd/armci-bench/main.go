@@ -130,20 +130,18 @@ func main() {
 		fmt.Fprintln(os.Stderr, "armci-bench:", err)
 		os.Exit(1)
 	}
-	if err := run(*fig, *plat, *op, *quick, *stats, *profile, *critpath, *trace, *jsonDir); err != nil {
+	if err := run(*fig, *plat, *op, *quick, *shards, *stats, *profile, *critpath, *trace, *jsonDir); err != nil {
 		fmt.Fprintln(os.Stderr, "armci-bench:", err)
 		os.Exit(1)
 	}
 }
 
-// installSched validates the -shards flag and installs it as the
-// harness-wide shard cap. It runs before any sweep constructs a job, so
-// a negative count fails fast.
+// installSched validates the -shards flag. It runs before any sweep
+// constructs a job, so a negative count fails fast.
 func installSched(shards int) error {
 	if shards < 0 {
-		return fmt.Errorf("-shards %d: shard count must be positive", shards)
+		return fmt.Errorf("-shards %d: shard count must not be negative", shards)
 	}
-	harness.Shards = shards
 	return nil
 }
 
@@ -153,10 +151,7 @@ func installSched(shards int) error {
 // execute as one shard regardless of -shards; the only sweep that fans
 // out (-fig parallel-speedup) takes no recorder. Rather than silently
 // ignore either flag, the conflict is an error naming every flag
-// involved. (Multi-shard critical-path recording itself is supported —
-// the bench test suite drives it through obs.Sharded and its
-// deterministic per-shard merge — it is only this CLI pairing that has
-// no meaning.)
+// involved. A recorder only ever records a one-shard run.
 func checkObsSharding(shards int, stats, profile, critpath bool, trace string) error {
 	if shards <= 1 {
 		return nil
@@ -225,7 +220,7 @@ func platforms(name string) ([]*platform.Platform, error) {
 	return []*platform.Platform{p}, nil
 }
 
-func run(fig, plat, opFilter string, quick, stats, profile, critpath bool, traceFile, jsonDir string) error {
+func run(fig, plat, opFilter string, quick bool, shards int, stats, profile, critpath bool, traceFile, jsonDir string) error {
 	// Accept the combined figN-plat spelling used by the guarded
 	// artifact names: -fig fig3-ib == -fig 3 -platform ib.
 	profName := fig
@@ -247,7 +242,7 @@ func run(fig, plat, opFilter string, quick, stats, profile, critpath bool, trace
 	if stats || profile || critpath || traceFile != "" {
 		rec = obs.New(obs.Options{Trace: traceFile != "", Profile: profile, CritPath: critpath})
 	}
-	if err := runFigures(fig, plat, opFilter, quick, rec, jsonDir); err != nil {
+	if err := runFigures(fig, plat, opFilter, quick, shards, rec, jsonDir); err != nil {
 		return err
 	}
 	if traceFile != "" {
@@ -326,7 +321,7 @@ func emit(f *bench.Figure, jsonDir string) error {
 	return nil
 }
 
-func runFigures(fig, plat, opFilter string, quick bool, rec *obs.Recorder, jsonDir string) error {
+func runFigures(fig, plat, opFilter string, quick bool, shards int, rec *obs.Recorder, jsonDir string) error {
 	if fig == "table2" || fig == "all" {
 		bench.Table2(os.Stdout)
 		if fig == "table2" {
@@ -512,18 +507,7 @@ func runFigures(fig, plat, opFilter string, quick bool, rec *obs.Recorder, jsonD
 	// parallel-speedup is host-time like wallclock and likewise excluded
 	// from -fig all.
 	if fig == "parallel-speedup" {
-		cfg := bench.DefaultParallel()
-		if quick {
-			cfg = bench.QuickParallel()
-		}
-		if harness.Shards > 0 {
-			var list []int
-			for k := 1; k < harness.Shards; k *= 2 {
-				list = append(list, k)
-			}
-			cfg.Shards = append(list, harness.Shards)
-		}
-		f, err := bench.ParallelSpeedup(cfg)
+		f, err := bench.ParallelSpeedup(speedupConfig(quick, shards))
 		if err != nil {
 			return err
 		}
@@ -533,6 +517,24 @@ func runFigures(fig, plat, opFilter string, quick bool, rec *obs.Recorder, jsonD
 		return ablations()
 	}
 	return nil
+}
+
+// speedupConfig is the parallel-speedup sweep for the -quick and
+// -shards flags: a positive shard cap replaces the default shard list
+// with the powers of two below it, then the cap itself.
+func speedupConfig(quick bool, shards int) bench.ParallelConfig {
+	cfg := bench.DefaultParallel()
+	if quick {
+		cfg = bench.QuickParallel()
+	}
+	if shards > 0 {
+		var list []int
+		for k := 1; k < shards; k *= 2 {
+			list = append(list, k)
+		}
+		cfg.Shards = append(list, shards)
+	}
+	return cfg
 }
 
 func ablations() error {

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -11,26 +12,31 @@ import (
 )
 
 // TestInstallSched covers the shard flag surface, checked before any
-// job is built: a negative -shards is rejected without installing
-// anything, a valid count becomes the harness shard cap, and every
-// observability flag is rejected alongside -shards > 1 with an error
-// naming it.
+// job is built: a negative -shards is rejected, a valid count caps the
+// parallel-speedup sweep, and every observability flag is rejected
+// alongside -shards > 1 with an error naming it.
 func TestInstallSched(t *testing.T) {
-	defer func() { harness.Shards = 0 }()
-
-	harness.Shards = 0
-	if err := installSched(-1); err == nil {
-		t.Error("-shards -1 accepted")
-	}
-	if harness.Shards != 0 {
-		t.Errorf("failed installSched installed Shards=%d", harness.Shards)
+	if err := installSched(-1); err == nil || !strings.Contains(err.Error(), "must not be negative") {
+		t.Errorf("-shards -1: error %v, want one saying it must not be negative", err)
 	}
 	for _, k := range []int{0, 1, 8} {
 		if err := installSched(k); err != nil {
 			t.Errorf("-shards %d rejected: %v", k, err)
 		}
-		if harness.Shards != k {
-			t.Errorf("-shards %d installed Shards=%d", k, harness.Shards)
+	}
+	for _, tc := range []struct {
+		quick  bool
+		shards int
+		want   []int
+	}{
+		{false, 0, bench.DefaultParallel().Shards},
+		{true, 0, bench.QuickParallel().Shards},
+		{true, 1, []int{1}},
+		{false, 6, []int{1, 2, 4, 6}},
+		{true, 8, []int{1, 2, 4, 8}},
+	} {
+		if got := speedupConfig(tc.quick, tc.shards).Shards; !slices.Equal(got, tc.want) {
+			t.Errorf("-quick=%v -shards %d: sweep %v, want %v", tc.quick, tc.shards, got, tc.want)
 		}
 	}
 

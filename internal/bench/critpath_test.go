@@ -112,11 +112,11 @@ func critJSON(t *testing.T, rec *obs.Recorder) []byte {
 //     goroutine-per-rank scheduler produced (critGolden).
 //   - continuation: the engine's default single shard, which is how
 //     every full-stack job runs.
-//   - parallel: the job is built while multi-shard execution is
-//     requested (harness.Shards, as armci-bench -shards sets it); a
-//     full-stack job ignores the request, so its critical-path JSON is
-//     byte-identical to a default run.
+//   - parallel: the configurations rerun concurrently, each job on its
+//     own engine and recorder, and each critical-path JSON must be
+//     byte-identical to the one its continuation case produced.
 func TestCritPathInvariantMatrix(t *testing.T) {
+	seq := map[string][]byte{}
 	for _, cfg := range profConfigs() {
 		t.Run(cfg.name+"/goroutine", func(t *testing.T) {
 			gold, ok := critGolden[cfg.name]
@@ -133,14 +133,15 @@ func TestCritPathInvariantMatrix(t *testing.T) {
 		t.Run(cfg.name+"/continuation", func(t *testing.T) {
 			rec, final := critRun(t, cfg.impl, cfg.opt)
 			checkCritInvariants(t, rec, final)
+			seq[cfg.name] = critJSON(t, rec)
 		})
 		t.Run(cfg.name+"/parallel", func(t *testing.T) {
-			ref, _ := critRun(t, cfg.impl, cfg.opt)
-			requestShards(t, 4)
+			// Paused until every sequential case above has finished.
+			t.Parallel()
 			rec, final := critRun(t, cfg.impl, cfg.opt)
 			checkCritInvariants(t, rec, final)
-			if !bytes.Equal(critJSON(t, ref), critJSON(t, rec)) {
-				t.Error("critical-path JSON differs when 4 shards are requested")
+			if !bytes.Equal(critJSON(t, rec), seq[cfg.name]) {
+				t.Error("critical-path JSON differs when the configurations run concurrently")
 			}
 		})
 	}
@@ -148,27 +149,33 @@ func TestCritPathInvariantMatrix(t *testing.T) {
 
 // TestCritPathSchedulerModesAgree requires the analyzed critical path
 // of the guarded quick Figure 3 sweep — not just its sum — to equal
-// results/CRIT_fig3-ib.json byte for byte, both on the default engine
-// and with multi-shard execution requested. The artifact was generated
+// results/CRIT_fig3-ib.json byte for byte. The artifact was generated
 // under the goroutine-per-rank scheduler, and the dependence graph and
 // its longest path must not depend on how the host drives the
-// schedule.
+// schedule: shards-0 runs one sweep on the default engine, shards-4
+// runs four sweeps concurrently, each with its own recorder.
 func TestCritPathSchedulerModesAgree(t *testing.T) {
 	want := artifact(t, "CRIT_fig3-ib.json")
-	for _, shards := range []int{0, 4} {
-		t.Run(fmt.Sprintf("shards-%d", shards), func(t *testing.T) {
-			requestShards(t, shards)
-			rec := obs.New(obs.Options{CritPath: true})
-			cfg := QuickFig3()
-			cfg.Obs = rec
-			if _, err := Fig3(platform.Get(platform.InfiniBand), cfg); err != nil {
-				t.Fatal(err)
-			}
-			if got := critJSON(t, rec); !bytes.Equal(got, want) {
-				t.Errorf("critical-path JSON differs from results/CRIT_fig3-ib.json:\n--- got ---\n%s\n--- want ---\n%s", got, want)
-			}
-		})
+	sweep := func(t *testing.T) {
+		rec := obs.New(obs.Options{CritPath: true})
+		cfg := QuickFig3()
+		cfg.Obs = rec
+		if _, err := Fig3(platform.Get(platform.InfiniBand), cfg); err != nil {
+			t.Fatal(err)
+		}
+		if got := critJSON(t, rec); !bytes.Equal(got, want) {
+			t.Errorf("critical-path JSON differs from results/CRIT_fig3-ib.json:\n--- got ---\n%s\n--- want ---\n%s", got, want)
+		}
 	}
+	t.Run("shards-0", sweep)
+	t.Run("shards-4", func(t *testing.T) {
+		for i := 0; i < 4; i++ {
+			t.Run(fmt.Sprintf("sweep-%d", i), func(t *testing.T) {
+				t.Parallel()
+				sweep(t)
+			})
+		}
+	})
 }
 
 // TestCritPathReportDeterministic requires the text report and JSON
@@ -197,47 +204,6 @@ func TestCritPathReportDeterministic(t *testing.T) {
 	}
 	if len(j1) == 0 || j1[len(j1)-1] != '\n' {
 		t.Error("critical-path JSON missing trailing newline")
-	}
-}
-
-// TestCritPathShardedExact drives the multi-shard parallel engine with
-// the sharded observability front at 1, 2, and 4 shards: the invariant
-// must hold on the merged recorder at every shard count, and the
-// analyzed critical path must be byte-identical across shard counts —
-// the per-shard edge logs stitch back into the exact single-shard walk.
-func TestCritPathShardedExact(t *testing.T) {
-	var ref []byte
-	var refFinal sim.Time
-	for _, k := range []int{1, 2, 4} {
-		rec, st, err := ParallelScaleRunObs(256, 2, k, obs.Options{CritPath: true})
-		if err != nil {
-			t.Fatalf("%d shards: %v", k, err)
-		}
-		jobs := rec.Crit().Jobs()
-		if len(jobs) != 1 {
-			t.Fatalf("%d shards: expected 1 analyzed job, got %d", k, len(jobs))
-		}
-		jb := jobs[0]
-		if jb.Makespan != st.FinalTime {
-			t.Errorf("%d shards: makespan %d ns != final time %d ns", k, jb.Makespan, st.FinalTime)
-		}
-		if jb.PathNs != jb.Makespan {
-			t.Errorf("%d shards: path sum %d ns != makespan %d ns", k, jb.PathNs, jb.Makespan)
-		}
-		var jbuf bytes.Buffer
-		if err := rec.Crit().WriteJSON(&jbuf); err != nil {
-			t.Fatalf("%d shards: WriteJSON: %v", k, err)
-		}
-		if ref == nil {
-			ref, refFinal = jbuf.Bytes(), st.FinalTime
-			continue
-		}
-		if st.FinalTime != refFinal {
-			t.Errorf("%d shards: final time %d ns != 1-shard %d ns", k, st.FinalTime, refFinal)
-		}
-		if !bytes.Equal(ref, jbuf.Bytes()) {
-			t.Errorf("%d shards: critical-path JSON differs from the 1-shard analysis", k)
-		}
 	}
 }
 

@@ -21,8 +21,6 @@ import (
 
 	"repro/internal/fabric"
 	"repro/internal/harness"
-	"repro/internal/obs"
-	"repro/internal/obs/critpath"
 	"repro/internal/platform"
 	"repro/internal/sim"
 )
@@ -63,18 +61,7 @@ func ParallelScaleRun(nranks, rounds, shards int) (sim.Stats, time.Duration, err
 		return sim.Stats{}, 0, err
 	}
 	t0 := time.Now()
-	err = eng.Run(nranks, scaleExchangeBody(m, nranks, rounds))
-	d := time.Since(t0)
-	if err != nil {
-		return sim.Stats{}, 0, err
-	}
-	return eng.Stats(), d, nil
-}
-
-// scaleExchangeBody is the rank body of the scale exchange, shared by
-// the plain and observed runs so both execute the identical schedule.
-func scaleExchangeBody(m *fabric.Machine, nranks, rounds int) func(p *sim.Proc) {
-	return func(p *sim.Proc) {
+	err = eng.Run(nranks, func(p *sim.Proc) {
 		r := p.ID()
 		partner := (r + nranks/2) % nranks
 		for i := 0; i < rounds; i++ {
@@ -85,39 +72,12 @@ func scaleExchangeBody(m *fabric.Machine, nranks, rounds int) func(p *sim.Proc) 
 		for got := 0; got < rounds; got++ {
 			m.Recv(p, func(*fabric.Msg) bool { return true })
 		}
-	}
-}
-
-// ParallelScaleRunObs is ParallelScaleRun with the sharded
-// observability front attached: each shard records into a private
-// recorder bound to its own virtual clock, and the returned Recorder is
-// the deterministic shard-order merge — including the exact critical
-// path when opt.CritPath is set (dependence-edge references carry
-// their shard id, so the merged walk is identical at every shard
-// count). Used by tests that pin multi-shard critical-path exactness.
-func ParallelScaleRunObs(nranks, rounds, shards int, opt obs.Options) (*obs.Recorder, sim.Stats, error) {
-	plat := platform.Get(platform.CrayXT5)
-	par := plat.Params
-	if nranks > par.MaxRanks() {
-		return nil, sim.Stats{}, fmt.Errorf("bench: parallel scale run wants %d ranks, platform caps at %d", nranks, par.MaxRanks())
-	}
-	eng := sim.NewEngine()
-	k := harness.ApplyShards(eng, par, nranks, shards)
-	m, err := fabric.NewMachine(eng, par, nranks)
+	})
+	d := time.Since(t0)
 	if err != nil {
-		return nil, sim.Stats{}, err
+		return sim.Stats{}, 0, err
 	}
-	sh := obs.NewSharded(opt, k)
-	eng.ShardObservers = sh.Observers()
-	m.CritFor = func(rank int) *critpath.Rec {
-		return sh.Rec(eng.ShardOf(rank, nranks)).Crit()
-	}
-	sh.BeginJob(fmt.Sprintf("%s/scale-exchange/n=%d", plat.Name, nranks),
-		func(s int) obs.Clock { return eng.ShardClock(s) }, nranks)
-	if err := eng.Run(nranks, scaleExchangeBody(m, nranks, rounds)); err != nil {
-		return nil, sim.Stats{}, err
-	}
-	return sh.Merge(), eng.Stats(), nil
+	return eng.Stats(), d, nil
 }
 
 // ParallelSpeedup runs the sweep and returns the figure: dispatched

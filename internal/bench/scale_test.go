@@ -6,7 +6,6 @@ import (
 	"path/filepath"
 	"testing"
 
-	"repro/internal/harness"
 	"repro/internal/nwchem"
 	"repro/internal/platform"
 )
@@ -34,18 +33,11 @@ func artifact(t *testing.T, name string) []byte {
 	return b
 }
 
-// requestShards sets harness.Shards to k, as armci-bench -shards k
-// does, until the calling test ends.
-func requestShards(t *testing.T, k int) {
-	prev := harness.Shards
-	harness.Shards = k
-	t.Cleanup(func() { harness.Shards = prev })
-}
-
 // checkGuardedArtifacts regenerates the guarded quick figures and
 // compares each JSON export byte for byte with the committed
-// results/BENCH_*.json artifact.
-func checkGuardedArtifacts(t *testing.T) {
+// results/BENCH_*.json artifact. With parallel set, the figures
+// regenerate concurrently.
+func checkGuardedArtifacts(t *testing.T, parallel bool) {
 	ib := platform.Get(platform.InfiniBand)
 	for _, tc := range []struct {
 		name string
@@ -57,6 +49,9 @@ func checkGuardedArtifacts(t *testing.T) {
 		{"ablation-locality", func() (*Figure, error) { return AblationLocality(ib, QuickLocalityAblation()) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
+			if parallel {
+				t.Parallel()
+			}
 			want := artifact(t, "BENCH_"+tc.name+".json")
 			f, err := tc.gen()
 			if err != nil {
@@ -84,16 +79,15 @@ func checkGuardedArtifacts(t *testing.T) {
 // reference scheduler, so this keeps that oracle for the full
 // communication stacks inside go test.
 func TestModeEquivalenceGuardedFigures(t *testing.T) {
-	checkGuardedArtifacts(t)
+	checkGuardedArtifacts(t, false)
 }
 
-// TestParallelEquivalence extends the guarantee to runs that request
-// multi-shard execution (armci-bench -shards 4): full-stack jobs must
-// ignore the request and run the exact single-shard schedule, so every
-// guarded figure still matches its committed artifact.
+// TestParallelEquivalence regenerates the guarded figures concurrently
+// in one process: every job owns its engine, machine, and recorder, so
+// running sweeps side by side on host threads must leave each figure
+// byte-identical to its committed artifact (and race-free under -race).
 func TestParallelEquivalence(t *testing.T) {
-	requestShards(t, 4)
-	checkGuardedArtifacts(t)
+	checkGuardedArtifacts(t, true)
 }
 
 // TestScaleSmokeSeries sanity-checks the scale figure's shape on the

@@ -14,7 +14,6 @@ import (
 	"fmt"
 
 	"repro/internal/obs"
-	"repro/internal/obs/critpath"
 	"repro/internal/sim"
 )
 
@@ -108,14 +107,6 @@ type Machine struct {
 	// per-node NIC link busy time. All hooks are nil-safe no-ops.
 	Obs *obs.Recorder
 
-	// CritFor, when non-nil, resolves the critical-path recorder that
-	// owns a rank's dependence logs — the per-shard sub-recorders of a
-	// multi-shard parallel run (a recording must go to the recorder of
-	// the shard that owns the rank). When nil, Obs's recorder (possibly
-	// none) serves every rank. The resolver must be immutable during
-	// the run: shard workers call it concurrently.
-	CritFor func(rank int) *critpath.Rec
-
 	// lastXfer records the timing decomposition of the most recent
 	// xferCost: Base is the pre-NIC-arbitration earliest start (origin
 	// overheads charged), Start the actual wire start after link
@@ -155,14 +146,6 @@ func NewMachine(eng *sim.Engine, par Params, nranks int) (*Machine, error) {
 		m.spaces[i] = newAddrSpace(i)
 	}
 	return m, nil
-}
-
-// critOf returns the critical-path recorder owning rank's logs.
-func (m *Machine) critOf(rank int) *critpath.Rec {
-	if m.CritFor != nil {
-		return m.CritFor(rank)
-	}
-	return m.Obs.Crit()
 }
 
 // NodeOf returns the node hosting the given rank.

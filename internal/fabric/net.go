@@ -146,7 +146,7 @@ func (m *Machine) matchWaiters(box *mailbox) {
 			box.queue = append(box.queue[:idx], box.queue[idx+1:]...)
 			box.waiters = append(box.waiters[:i], box.waiters[i+1:]...)
 			if w.fn != nil {
-				if c := m.critOf(box.owner); c != nil {
+				if c := m.Obs.Crit(); c != nil {
 					prev := c.SetAmbient(w.got.chain)
 					w.fn(w.got)
 					c.SetAmbient(prev)
@@ -154,7 +154,7 @@ func (m *Machine) matchWaiters(box *mailbox) {
 					w.fn(w.got)
 				}
 			} else {
-				if c := m.critOf(w.p.ID()); c != nil {
+				if c := m.Obs.Crit(); c != nil {
 					c.WakeCause(w.p.ID(), w.got.chain)
 				}
 				m.Eng.Unpark(w.p)
@@ -202,7 +202,7 @@ func (m *Machine) OnRecv(rank int, match func(*Msg) bool, fn func(*Msg)) {
 		box.queue = append(box.queue[:idx], box.queue[idx+1:]...)
 		// Run via the event queue so the caller's context never nests.
 		m.Eng.At(m.Eng.Now(), func() {
-			if c := m.critOf(rank); c != nil {
+			if c := m.Obs.Crit(); c != nil {
 				prev := c.SetAmbient(msg.chain)
 				fn(msg)
 				c.SetAmbient(prev)

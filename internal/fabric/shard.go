@@ -79,9 +79,10 @@ func (m *Machine) ShardedTraffic() (msgs, bytes int64) {
 // touches destination-shard state at the origin: intra-node delivery
 // stays on the shared shard, and cross-node delivery charges the
 // source NIC now, flies as a cross-shard event, and arbitrates the
-// destination NIC on arrival. The machine-global counters and the obs
-// recorder are not used — per-rank counters (ShardedTraffic) replace
-// them, because shards would race on anything global.
+// destination NIC on arrival. The machine-global counters are not
+// used — per-rank counters (ShardedTraffic) replace them, because
+// shards would race on anything global — and no obs or critical-path
+// hook fires: only one-shard runs are recorded.
 func (m *Machine) DeliverSharded(p *sim.Proc, dst int, msg *Msg, opt XferOpt) sim.Time {
 	if dst < 0 || dst >= m.NRanks {
 		panic(fmt.Sprintf("fabric: DeliverSharded to bad rank %d", dst))
@@ -102,9 +103,6 @@ func (m *Machine) DeliverSharded(p *sim.Proc, dst int, msg *Msg, opt XferOpt) si
 		arrive := now + sim.FromSeconds(dur/1e9)
 		if arrive <= now {
 			arrive = now + 1
-		}
-		if c := m.critOf(src); c != nil {
-			msg.chain = c.MsgHop(src, now, now, arrive, -1, -1, c.Ambient())
 		}
 		m.Eng.AtRank(arrive, src, dst, func() {
 			msg.Arrived = arrive
@@ -127,10 +125,6 @@ func (m *Machine) DeliverSharded(p *sim.Proc, dst int, msg *Msg, opt XferOpt) si
 		s.freeAt = start + occupy
 	}
 	arrive := start + occupy + sim.FromSeconds(par.LatencyNs/1e9)
-	if c := m.critOf(src); c != nil {
-		nicS, nicD := m.xferNics(src, dst, opt)
-		msg.chain = c.MsgHop(src, now, start, arrive, nicS, nicD, c.Ambient())
-	}
 	m.Eng.AtRank(arrive, src, dst, func() {
 		land := arrive
 		if !opt.NoNIC {
@@ -141,12 +135,6 @@ func (m *Machine) DeliverSharded(p *sim.Proc, dst int, msg *Msg, opt XferOpt) si
 			d.freeAt = land + occupy
 		}
 		if land > arrive {
-			// The edge extension is recorded on the destination shard's
-			// recorder (this closure runs there); the origin shard's hop
-			// table is never touched after the send.
-			if c := m.critOf(dst); c != nil {
-				msg.chain = c.ArbHop(msg.From, arrive, land, m.NodeOf(dst), msg.chain)
-			}
 			m.Eng.AtRank(land, dst, dst, func() {
 				msg.Arrived = land
 				box.queue = append(box.queue, msg)

@@ -44,12 +44,6 @@ func ImplNames() []string {
 	return []string{string(ImplNative), string(ImplARMCIMPI), string(ImplDataServer), string(ImplDartMPI)}
 }
 
-// Shards is the host shard count requested for multi-shard runs (set
-// from cmd/armci-bench -shards). Full ARMCI stack jobs ignore it — see
-// NewJobObs — but shard-confined sweeps (bench.ParallelSpeedup) honor
-// it as their default shard count.
-var Shards int
-
 // ApplyShards configures eng for multi-shard parallel execution over
 // nranks ranks of a machine with parameters par: a node-aligned rank
 // partition (fabric.NodeAlignedPartition, so NICs, mailboxes, and shm

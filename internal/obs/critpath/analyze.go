@@ -47,45 +47,18 @@ func newAgg() agg {
 	return agg{cells: map[cellKey]sim.Time{}, chains: map[chainKey]chainVal{}}
 }
 
-// merge folds o into a (additive everywhere; job records concatenate).
-func (a *agg) merge(o *agg) {
-	a.jobs = append(a.jobs, o.jobs...)
-	for k, v := range o.cells {
-		a.cells[k] += v
-	}
-	for k, v := range o.chains {
-		c := a.chains[k]
-		c.count += v.count
-		c.ns += v.ns
-		a.chains[k] = c
-	}
-}
-
-// view is one job's complete log set: per-rank waits, activities, and
-// finish times, plus the hop tables of every shard (index = shard id)
-// for Ref resolution.
-type view struct {
-	label  string
-	waits  [][]wait
-	acts   [][]act
-	scopes [][]span
-	fins   []sim.Time
-	tabs   [][]hop
-}
-
-func (v *view) resolve(ref Ref) (hop, bool) {
-	shard := int(ref >> refIdxBits)
-	idx := int(ref&(1<<refIdxBits-1)) - 1
-	if shard >= len(v.tabs) || idx < 0 || idx >= len(v.tabs[shard]) {
+// resolve returns the hop ref names in the current job's hop table;
+// false for "no edge" (zero) or an out-of-range reference.
+func (r *Rec) resolve(ref Ref) (hop, bool) {
+	if ref == 0 || ref > Ref(len(r.hops)) {
 		return hop{}, false
 	}
-	return v.tabs[shard][idx], true
+	return r.hops[ref-1], true
 }
 
 // walker is the backward critical-path walk state.
 type walker struct {
-	v   *view
-	agg *agg
+	r *Rec
 
 	wi []int // per-rank wait cursor: index one past the next candidate
 	ai []int // per-rank activity cursor, same convention
@@ -95,14 +68,14 @@ type walker struct {
 	segs int
 }
 
-// analyze computes the critical path of one job and folds its
-// attribution into agg. The walk starts at the last rank to finish
-// (smallest id on ties) and moves the time frontier from the makespan
-// back to zero; every step emits segments exactly tiling the interval
-// it consumes, so the emitted durations sum to the makespan.
-func analyze(v view, out *agg) {
+// analyze computes the critical path of the recorded job and folds
+// its attribution into the aggregate. The walk starts at the last rank
+// to finish (smallest id on ties) and moves the time frontier from the
+// makespan back to zero; every step emits segments exactly tiling the
+// interval it consumes, so the emitted durations sum to the makespan.
+func (r *Rec) analyze() {
 	start, makespan := -1, sim.Time(-1)
-	for rank, f := range v.fins {
+	for rank, f := range r.fins {
 		if f > makespan {
 			start, makespan = rank, f
 		}
@@ -112,9 +85,9 @@ func analyze(v view, out *agg) {
 	}
 	// Close any wait left open (a drained or deadlocked rank) at that
 	// rank's own finish horizon so the logs stay well-formed.
-	for rank := range v.waits {
-		if ws := v.waits[rank]; len(ws) > 0 && ws[len(ws)-1].end < 0 {
-			f := v.fins[rank]
+	for rank := range r.waits {
+		if ws := r.waits[rank]; len(ws) > 0 && ws[len(ws)-1].end < 0 {
+			f := r.fins[rank]
 			if f < ws[len(ws)-1].start {
 				f = ws[len(ws)-1].start
 			}
@@ -122,13 +95,13 @@ func analyze(v view, out *agg) {
 			ws[len(ws)-1].cause = 0
 		}
 	}
-	w := &walker{v: &v, agg: out,
-		wi: make([]int, len(v.waits)), ai: make([]int, len(v.waits)),
-		si: make([]int, len(v.waits))}
-	for rank := range v.waits {
-		w.wi[rank] = len(v.waits[rank])
-		w.ai[rank] = len(v.acts[rank])
-		w.si[rank] = len(v.scopes[rank])
+	w := &walker{r: r,
+		wi: make([]int, len(r.waits)), ai: make([]int, len(r.waits)),
+		si: make([]int, len(r.waits))}
+	for rank := range r.waits {
+		w.wi[rank] = len(r.waits[rank])
+		w.ai[rank] = len(r.acts[rank])
+		w.si[rank] = len(r.scopes[rank])
 	}
 
 	rank, t := start, makespan
@@ -144,7 +117,7 @@ func analyze(v view, out *agg) {
 			// Activity between the wait's end and the frontier.
 			w.emitRange(rank, wt.end, t, false, "", -1)
 			t = wt.end
-			if h, ok := v.resolve(wt.cause); ok {
+			if h, ok := r.resolve(wt.cause); ok {
 				rank, t = w.unwind(h, rank, t, wt.why)
 			} else {
 				// Rank-local wait (self-completion, elapse-like).
@@ -157,7 +130,7 @@ func analyze(v view, out *agg) {
 			// start; its own cause explains a later instant, not this
 			// one, so the walk stays on this rank.
 			from := -1
-			if h, ok := v.resolve(wt.cause); ok {
+			if h, ok := r.resolve(wt.cause); ok {
 				from = h.from
 			}
 			w.emitRange(rank, wt.start, t, true, wt.why, from)
@@ -165,8 +138,8 @@ func analyze(v view, out *agg) {
 		}
 	}
 
-	out.jobs = append(out.jobs, Job{
-		Label:    v.label,
+	r.agg.jobs = append(r.agg.jobs, Job{
+		Label:    r.label,
 		Makespan: makespan,
 		PathNs:   w.path,
 		Segments: w.segs,
@@ -181,7 +154,7 @@ func (w *walker) popWait(rank int, t sim.Time) *wait {
 	if rank >= len(w.wi) {
 		return nil
 	}
-	ws := w.v.waits[rank]
+	ws := w.r.waits[rank]
 	i := w.wi[rank]
 	for i > 0 && ws[i-1].start >= t {
 		i--
@@ -216,16 +189,11 @@ func (w *walker) unwind(h hop, rank int, t sim.Time, why string) (int, sim.Time)
 		// (and, on chained hops, the handler time of the hop above).
 		w.emitRange(rank, arr, cur, true, why, h.from)
 		// Wire segments belong to the sender: serialization and
-		// propagation, then the time queued behind the link. An
-		// arbitration hop is pure queueing behind the destination NIC.
-		wirePh := uint8(profile.PhaseWire)
-		if h.kind == hopArb {
-			wirePh = uint8(profile.PhaseWireQueue)
-		}
-		w.emit(rank2(h.from), xfer, arr, opNone, wirePh, h.nicS)
+		// propagation, then the time queued behind the link.
+		w.emit(rank2(h.from), xfer, arr, opNone, uint8(profile.PhaseWire), h.nicS)
 		w.emit(rank2(h.from), sent, xfer, opNone, uint8(profile.PhaseWireQueue), h.nicS)
 		rank, cur = h.from, sent
-		prev, ok := w.v.resolve(h.prev)
+		prev, ok := w.r.resolve(h.prev)
 		if !ok {
 			return rank, cur
 		}
@@ -260,15 +228,15 @@ func (w *walker) emitRange(rank int, lo, hi sim.Time, blocked bool, why string, 
 	}
 	if blocked {
 		ck := chainKey{why: why, from: int32(from)}
-		c := w.agg.chains[ck]
+		c := w.r.agg.chains[ck]
 		c.count++
 		c.ns += hi - lo
-		w.agg.chains[ck] = c
+		w.r.agg.chains[ck] = c
 	}
 	var acts []act
 	i := 0
 	if rank >= 0 && rank < len(w.ai) {
-		acts = w.v.acts[rank]
+		acts = w.r.acts[rank]
 		i = w.ai[rank]
 	}
 	for i > 0 && acts[i-1].start >= hi {
@@ -315,7 +283,7 @@ func (w *walker) gap(rank int, lo, hi sim.Time, blocked bool) {
 	var ss []span
 	i := 0
 	if rank >= 0 && rank < len(w.si) {
-		ss = w.v.scopes[rank]
+		ss = w.r.scopes[rank]
 		i = w.si[rank]
 	}
 	for i > 0 && ss[i-1].start >= hi {
@@ -357,7 +325,7 @@ func (w *walker) emit(rank int, lo, hi sim.Time, op, ph uint8, nic int) {
 	if hi <= lo {
 		return
 	}
-	w.agg.cells[cellKey{rank: int32(rank), op: op, ph: ph, nic: int32(nic)}] += hi - lo
+	w.r.agg.cells[cellKey{rank: int32(rank), op: op, ph: ph, nic: int32(nic)}] += hi - lo
 	w.path += hi - lo
 	w.segs++
 }

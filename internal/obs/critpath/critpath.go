@@ -14,8 +14,7 @@
 //     and cursor gating), clamped to a per-rank monotone cursor so
 //     they form a sorted, non-overlapping cover of on-CPU time;
 //   - a hop table of dependence edges: fabric message
-//     send→queue→wire→delivery records (Deliver and DeliverSharded),
-//     destination NIC arbitration extensions, and lock/mutex grant
+//     send→queue→wire→delivery records (Deliver) and lock/mutex grant
 //     edges, chained through an ambient provenance reference when a
 //     message is sent from inside another message's delivery handler
 //     (rendezvous, data-server service, leader staging).
@@ -31,10 +30,9 @@
 //
 // Like the rest of internal/obs, every recording method is nil-safe (a
 // nil *Rec no-ops at the cost of one branch) and warmed record paths
-// allocate nothing. Multi-shard parallel runs give each shard a
-// private Rec (obs.Sharded wires this); Merge stitches the per-shard
-// logs back into one exact view, with hop references resolving across
-// shards through the shard id packed into every reference.
+// allocate nothing. A Rec records one single-shard job at a time: the
+// full communication stacks always run on one shard, and multi-shard
+// runs are not recorded.
 package critpath
 
 import (
@@ -42,33 +40,20 @@ import (
 	"repro/internal/sim"
 )
 
-// Clock supplies the current virtual time; obs.Recorder's job clocks
-// satisfy it.
-type Clock interface {
-	Now() sim.Time
-}
-
-// Ref identifies a recorded dependence edge: shard id in the high
-// bits, 1-based hop index in the low 40. Zero means "no edge".
+// Ref identifies a recorded dependence edge by its 1-based index in the
+// job's hop table. Zero means "no edge".
 type Ref uint64
-
-const refIdxBits = 40
-
-func (r *Rec) pack(idx int) Ref {
-	return Ref(r.shard)<<refIdxBits | Ref(idx+1)
-}
 
 // Edge kinds in the hop table.
 const (
 	hopMsg   uint8 = iota // fabric message: sent → queue end → delivery
-	hopArb                // destination NIC arbitration delay (sharded)
 	hopGrant              // lock/mutex queue grant by a releasing rank
 )
 
 // hop is one dependence edge.
 type hop struct {
 	kind uint8
-	from int      // sending rank (msg/arb) or releasing rank (grant)
+	from int      // sending rank (msg) or releasing rank (grant)
 	sent sim.Time // injection time at the origin / release time
 	xfer sim.Time // msg: wire-serialization start (queue end)
 	arr  sim.Time // delivery time at the destination
@@ -138,12 +123,9 @@ func OpName(op uint8) string {
 	return profile.Op(op).String()
 }
 
-// Rec records one shard's dependence edges and per-rank logs. The
-// cooperative scheduler (the shard worker, in a multi-shard run)
-// guarantees single-threaded access.
+// Rec records one job's dependence edges and per-rank logs. The
+// cooperative scheduler guarantees single-threaded access.
 type Rec struct {
-	shard int
-	clock Clock
 	label string
 	open  bool // a job is being recorded
 
@@ -157,42 +139,25 @@ type Rec struct {
 
 	ambient Ref // provenance of the running delivery handler, if any
 
-	// partial marks a per-shard sub-recorder: its logs cover only its
-	// own ranks, so BeginJob never analyzes locally — Merge builds the
-	// global view instead.
-	partial bool
-
 	flat *profile.Profiler // flat-attribution source for the report
 	agg  agg               // closed-job aggregate
 }
 
-// New creates a recorder for a single-shard (sequential or solo
-// parallel) run. flat, when non-nil, supplies the flat profiler
-// aggregation the report contrasts critical shares against.
+// New creates a recorder. flat, when non-nil, supplies the flat
+// profiler aggregation the report contrasts critical shares against.
 func New(flat *profile.Profiler) *Rec {
 	return &Rec{flat: flat, agg: newAgg()}
 }
 
-// NewShard creates shard's private sub-recorder for a multi-shard
-// parallel run. Its logs are partial (its own ranks only); Merge
-// combines the shards into an analyzable whole.
-func NewShard(shard int, flat *profile.Profiler) *Rec {
-	r := New(flat)
-	r.shard = shard
-	r.partial = true
-	return r
-}
-
 // BeginJob opens a new job: any previously recorded job is analyzed
-// into the aggregate first (on partial shard recorders the analysis is
-// deferred to Merge), then the per-job logs reset. label names the job
-// in the per-job invariant table.
-func (r *Rec) BeginJob(label string, clock Clock) {
+// into the aggregate first, then the per-job logs reset. label names
+// the job in the per-job invariant table. Every recorded time is
+// passed in by the hooks, so the recorder needs no clock.
+func (r *Rec) BeginJob(label string) {
 	if r == nil {
 		return
 	}
 	r.Flush()
-	r.clock = clock
 	r.label = label
 	r.open = true
 }
@@ -205,17 +170,7 @@ func (r *Rec) Flush() {
 		return
 	}
 	r.open = false
-	if !r.partial {
-		v := view{
-			label:  r.label,
-			waits:  r.waits,
-			acts:   r.acts,
-			scopes: r.scopes,
-			fins:   r.fins,
-			tabs:   [][]hop{r.hops},
-		}
-		analyze(v, &r.agg)
-	}
+	r.analyze()
 	r.reset()
 }
 
@@ -310,19 +265,7 @@ func (r *Rec) MsgHop(from int, sent, xfer, arr sim.Time, nicS, nicD int, prev Re
 	}
 	r.hops = append(r.hops, hop{kind: hopMsg, from: from,
 		sent: sent, xfer: xfer, arr: arr, nicS: nicS, nicD: nicD, prev: prev})
-	return r.pack(len(r.hops) - 1)
-}
-
-// ArbHop extends a message edge with a destination-NIC arbitration
-// delay (the sharded delivery path re-queues behind the destination
-// link): the message was due at sent but landed at arr.
-func (r *Rec) ArbHop(from int, sent, arr sim.Time, nicD int, prev Ref) Ref {
-	if r == nil {
-		return 0
-	}
-	r.hops = append(r.hops, hop{kind: hopArb, from: from,
-		sent: sent, xfer: sent, arr: arr, nicS: nicD, nicD: nicD, prev: prev})
-	return r.pack(len(r.hops) - 1)
+	return Ref(len(r.hops))
 }
 
 // WakeCause names the edge that is about to release rank's open wait.
@@ -351,7 +294,7 @@ func (r *Rec) WakeGrant(rank, by int, sent sim.Time) {
 		return
 	}
 	r.hops = append(r.hops, hop{kind: hopGrant, from: by, sent: sent})
-	r.cause[rank] = r.pack(len(r.hops) - 1)
+	r.cause[rank] = Ref(len(r.hops))
 }
 
 // WakeAmbient names the running delivery handler's provenance as
@@ -413,52 +356,6 @@ func (r *Rec) RawScope(rank int, op profile.Op, start, end sim.Time) {
 	}
 	r.growRank(rank)
 	r.scopes[rank] = append(r.scopes[rank], span{start: start, end: end, op: uint8(op)})
-}
-
-// --- shard merge -----------------------------------------------------
-
-// Merge stitches the per-shard sub-recorders of a parallel run into
-// one analyzable recorder, in shard id order. Each rank lives on
-// exactly one shard, so the per-rank logs are disjoint and their union
-// is exact; hop references resolve across shards through the shard id
-// packed into every Ref. The current (un-analyzed) job of the shards
-// is analyzed here as one global job; flat supplies the merged
-// profiler for the report. Call it only after the run has completed.
-func Merge(shards []*Rec, flat *profile.Profiler) *Rec {
-	out := New(flat)
-	if len(shards) == 0 || shards[0] == nil {
-		return out
-	}
-	v := view{label: shards[0].label, tabs: make([][]hop, len(shards))}
-	for i, s := range shards {
-		v.tabs[i] = s.hops
-		for rank := range s.waits {
-			for len(v.waits) <= rank {
-				v.waits = append(v.waits, nil)
-				v.acts = append(v.acts, nil)
-				v.scopes = append(v.scopes, nil)
-				v.fins = append(v.fins, -1)
-			}
-			if len(s.waits[rank]) > 0 {
-				v.waits[rank] = s.waits[rank]
-			}
-			if len(s.acts[rank]) > 0 {
-				v.acts[rank] = s.acts[rank]
-			}
-			if len(s.scopes[rank]) > 0 {
-				v.scopes[rank] = s.scopes[rank]
-			}
-			if s.fins[rank] > v.fins[rank] {
-				v.fins[rank] = s.fins[rank]
-			}
-		}
-		// Closed-job aggregates of the shards (normally empty: sharded
-		// fronts record one job per run) carry over additively.
-		out.agg.merge(&s.agg)
-		s.open = false
-	}
-	analyze(v, &out.agg)
-	return out
 }
 
 // Jobs returns the per-job invariant records analyzed so far,

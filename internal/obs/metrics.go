@@ -180,60 +180,6 @@ func (m *Metrics) LinkBusy(node int, d sim.Time) {
 	m.links[node] += d
 }
 
-// Merge folds o's statistics into m: counters, times, histogram cells,
-// and link busy time add; gauges take the maximum. The per-shard
-// registries of a parallel run hold disjoint rank (and, node-aligned,
-// node) index sets, so merging them yields exactly the union registry a
-// sequential run would have produced. Map iteration order does not
-// matter — addition and max are commutative — so the merged content is
-// deterministic.
-func (m *Metrics) Merge(o *Metrics) {
-	if m == nil || o == nil {
-		return
-	}
-	for name, vals := range o.counters {
-		s := growI64(m.counters[name], len(vals)-1)
-		for i, v := range vals {
-			s[i] += v
-		}
-		m.counters[name] = s
-	}
-	for name, vals := range o.times {
-		s := growTime(m.times[name], len(vals)-1)
-		for i, v := range vals {
-			s[i] += v
-		}
-		m.times[name] = s
-	}
-	for name, vals := range o.gauges {
-		s := growI64(m.gauges[name], len(vals)-1)
-		for i, v := range vals {
-			if v > s[i] {
-				s[i] = v
-			}
-		}
-		m.gauges[name] = s
-	}
-	for name, hs := range o.hists {
-		dst := m.hists[name]
-		for len(dst) < len(hs) {
-			dst = append(dst, &Hist{})
-		}
-		m.hists[name] = dst
-		for i, h := range hs {
-			dst[i].Count += h.Count
-			dst[i].SumNs += h.SumNs
-			for b := range h.Buckets {
-				dst[i].Buckets[b] += h.Buckets[b]
-			}
-		}
-	}
-	m.links = growTime(m.links, len(o.links)-1)
-	for i, v := range o.links {
-		m.links[i] += v
-	}
-}
-
 // Counter returns the per-rank values of a counter (nil if unused).
 func (m *Metrics) Counter(name string) []int64 {
 	if m == nil {

@@ -132,13 +132,6 @@ func (r *Recorder) Crit() *critpath.Rec {
 // virtual clock, and nranks sizes the per-rank lanes. Metrics from
 // successive jobs accumulate into the same registry.
 func (r *Recorder) BeginJob(label string, clock Clock, nranks int) {
-	r.beginJob(label, clock, nranks, true)
-}
-
-// beginJob is BeginJob with control over trace metadata emission: the
-// sub-recorders of a Sharded front suppress it on all shards but the
-// first, so the merged trace names the process and rank lanes once.
-func (r *Recorder) beginJob(label string, clock Clock, nranks int, meta bool) {
 	if r == nil {
 		return
 	}
@@ -151,11 +144,11 @@ func (r *Recorder) beginJob(label string, clock Clock, nranks int, meta bool) {
 	// idle ranks of a large job cost nothing.
 	r.parkAt = r.parkAt[:0]
 	r.parkWhy = r.parkWhy[:0]
-	if r.tr != nil && meta {
+	if r.tr != nil {
 		r.tr.meta(r.pid, label, nranks)
 	}
 	r.prof.BeginJob(clock, nranks)
-	r.crit.BeginJob(label, clock)
+	r.crit.BeginJob(label)
 }
 
 // now returns the current virtual time, or zero with no bound clock.

@@ -112,7 +112,6 @@ func TestDisabledCritPathAllocatesNothing(t *testing.T) {
 		c.Resumed(0, 5)
 		c.Finished(0, 9)
 		_ = c.MsgHop(0, 1, 2, 3, 0, 1, 0)
-		_ = c.ArbHop(0, 1, 2, 1, 0)
 		c.WakeCause(0, 7)
 		c.WakeGrant(0, 1, 3)
 		c.WakeAmbient(0)

@@ -287,8 +287,7 @@ func NewEngine() *Engine { return &Engine{} }
 // Now returns the current virtual time: zero before Run, the one
 // shard's clock during and after a single-shard run. It is safe to call
 // from event handlers and rank bodies alike. In a multi-shard run there
-// is no global clock, so Now panics there; use Proc.Now or ShardClock
-// instead.
+// is no global clock, so Now panics there; use Proc.Now instead.
 func (e *Engine) Now() Time {
 	switch len(e.shards) {
 	case 0:
@@ -296,7 +295,7 @@ func (e *Engine) Now() Time {
 	case 1:
 		return e.shards[0].now
 	default:
-		panic("sim: Engine.Now has no global value in a multi-shard run; use Proc.Now or ShardClock")
+		panic("sim: Engine.Now has no global value in a multi-shard run; use Proc.Now")
 	}
 }
 

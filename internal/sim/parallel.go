@@ -409,26 +409,6 @@ func (sh *shard) drainNext() {
 	sh.done <- struct{}{}
 }
 
-// ShardClock is a per-shard virtual clock view, usable as an observer
-// clock before, during, and after Run (it resolves lazily, so it can be
-// constructed before the shards exist).
-type ShardClock struct {
-	e *Engine
-	s int
-}
-
-// Now returns the shard's current virtual time (zero until Run
-// materializes the shards).
-func (c ShardClock) Now() Time {
-	if c.s < len(c.e.shards) {
-		return c.e.shards[c.s].now
-	}
-	return 0
-}
-
-// ShardClock returns the clock view of shard s.
-func (e *Engine) ShardClock(s int) ShardClock { return ShardClock{e: e, s: s} }
-
 // ShardOf reports which shard rank i lands on under the engine's
 // configuration (Shards/Partition), independent of whether the run has
 // started. n is the rank count Run will be called with.
