@@ -162,15 +162,12 @@ func (r *Runtime) prescale(v *localView, baseVA int64, t mpi.Datatype, scale flo
 	m.CopyLocal(r.R.P, n)
 	m.Compute(r.R.P, float64(n/8))
 	src := v.reg.Bytes(v.reg.VA+(baseVA-v.base), t.Span())
-	// Pack through the flatten cache, scaling the decoded copy in place
-	// before re-encoding into the dense output.
+	// Pack through the flatten cache, scaling each run straight into
+	// the dense output.
+	dst := out.Backing()
 	pos := 0
 	for _, s := range mpi.Flatten(t).Segs {
-		vals := mpi.BytesToF64s(src[s.Off : s.Off+s.N])
-		for i, x := range vals {
-			vals[i] = x * scale
-		}
-		copy(out.Backing()[pos:pos+s.N], mpi.F64sToBytes(vals))
+		fabric.ReduceF64(fabric.F64Replace, dst[pos:pos+s.N], src[s.Off:s.Off+s.N], scale)
 		pos += s.N
 	}
 	return out, nil

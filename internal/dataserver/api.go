@@ -3,7 +3,6 @@ package dataserver
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 	"sort"
 
 	"repro/internal/armci"
@@ -24,9 +23,6 @@ func (r *Runtime) profBegin(op profile.Op) func() {
 	pr.Begin(rank, op)
 	return func() { pr.End(rank) }
 }
-
-func f64bits(f float64) uint64     { return math.Float64bits(f) }
-func f64frombits(b uint64) float64 { return math.Float64frombits(b) }
 
 // Malloc collectively allocates globally accessible memory (world).
 func (r *Runtime) Malloc(bytes int) ([]armci.Addr, error) { return r.mallocOn(nil, bytes) }

@@ -24,7 +24,6 @@
 package dataserver
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"repro/internal/armci"
@@ -181,11 +180,10 @@ func (r *Runtime) putSegs(segs []seg, target int, accumulate bool, scale float64
 	r.opCost()
 	m := r.w.M
 	total := 0
-	data := make([][]byte, len(segs))
-	for i, sg := range segs {
+	for _, sg := range segs {
 		total += sg.n
-		data[i] = append([]byte(nil), sg.sreg.Bytes(sg.srcVA, sg.n)...)
 	}
+	data := gather(m, segs, total)
 	node := m.NodeOf(target)
 	me := r.Rank()
 	pr := r.w.Obs.Prof()
@@ -198,9 +196,8 @@ func (r *Runtime) putSegs(segs []seg, target int, accumulate bool, scale float64
 			pr.Send(me, target, profile.MsgPut, profile.RouteShm, total)
 			pr.Recv(me, target, profile.MsgPut, profile.RouteShm, total)
 		}
-		for i, sg := range segs {
-			copy(sg.dreg.Bytes(sg.dstVA, sg.n), data[i])
-		}
+		scatter(segs, data)
+		m.Recycle(data)
 		r.noteRemote(target, r.p.Now())
 		return nil
 	}
@@ -241,19 +238,16 @@ func (r *Runtime) putSegs(segs []seg, target int, accumulate bool, scale float64
 		if pr != nil {
 			pr.Recv(me, target, class, profile.RouteDS, total)
 		}
-		for i, sg := range segsCopy {
-			dst := sg.dreg.Bytes(sg.dstVA, sg.n)
-			if accumulate {
-				cur := decodeF64(dst)
-				inc := decodeF64(data[i])
-				for k := range cur {
-					cur[k] += scale * inc[k]
-				}
-				encodeF64(dst, cur)
-			} else {
-				copy(dst, data[i])
+		if accumulate {
+			pos := 0
+			for _, sg := range segsCopy {
+				fabric.ReduceF64(fabric.F64Sum, sg.dreg.Bytes(sg.dstVA, sg.n), data[pos:pos+sg.n], scale)
+				pos += sg.n
 			}
+		} else {
+			scatter(segsCopy, data)
 		}
+		m.Recycle(data)
 	})
 	r.noteRemote(target, done)
 	return nil
@@ -307,10 +301,7 @@ func (r *Runtime) getSegs(segs []seg, target int) error {
 	me := r.Rank()
 	segsCopy := segs
 	eng.At(served, func() {
-		data := make([][]byte, len(segsCopy))
-		for i, sg := range segsCopy {
-			data[i] = append([]byte(nil), sg.sreg.Bytes(sg.srcVA, sg.n)...)
-		}
+		data := gather(m, segsCopy, total)
 		back := m.SendDataAsync(target, me, total, fabric.XferOpt{Rate: r.rate()})
 		if pr != nil {
 			base, xs, xa := m.LastXfer()
@@ -322,9 +313,8 @@ func (r *Runtime) getSegs(segs []seg, target int) error {
 			if pr != nil {
 				pr.Recv(target, me, profile.MsgGet, profile.RouteDS, total)
 			}
-			for i, sg := range segsCopy {
-				copy(sg.dreg.Bytes(sg.dstVA, sg.n), data[i])
-			}
+			scatter(segsCopy, data)
+			m.Recycle(data)
 			done = true
 			eng.Unpark(p)
 		})
@@ -342,16 +332,21 @@ func (r *Runtime) accRate() float64 {
 	return r.w.M.Par.AccumRate
 }
 
-func decodeF64(b []byte) []float64 {
-	out := make([]float64, len(b)/8)
-	for i := range out {
-		out[i] = f64frombits(binary.LittleEndian.Uint64(b[8*i:]))
+// gather snapshots the source side of segs into one dense payload of
+// total bytes from m's pool.
+func gather(m *fabric.Machine, segs []seg, total int) []byte {
+	data := m.Payload(total)
+	pos := 0
+	for _, sg := range segs {
+		pos += copy(data[pos:], sg.sreg.Bytes(sg.srcVA, sg.n))
 	}
-	return out
+	return data
 }
 
-func encodeF64(b []byte, vals []float64) {
-	for i, v := range vals {
-		binary.LittleEndian.PutUint64(b[8*i:], f64bits(v))
+// scatter copies a dense payload out to the destination side of segs.
+func scatter(segs []seg, data []byte) {
+	pos := 0
+	for _, sg := range segs {
+		pos += copy(sg.dreg.Bytes(sg.dstVA, sg.n), data[pos:pos+sg.n])
 	}
 }

@@ -103,6 +103,10 @@ type Machine struct {
 	sendMsgs  []int64
 	sendBytes []int64
 
+	// payloads[c] is the free list of in-flight payload snapshots of
+	// capacity 1<<c (payload.go).
+	payloads [payloadClasses][][]byte
+
 	// Obs, when non-nil, receives per-rank injection counters and
 	// per-node NIC link busy time. All hooks are nil-safe no-ops.
 	Obs *obs.Recorder

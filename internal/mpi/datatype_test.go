@@ -194,12 +194,12 @@ func TestPackUnpackRoundTrip(t *testing.T) {
 	for _, dt := range types {
 		src := make([]byte, dt.Extent())
 		rng.Read(src)
-		packed := packFrom(src, dt)
-		if len(packed) != dt.Size() {
-			t.Fatalf("%v: packed %d bytes, want %d", dt, len(packed), dt.Size())
+		packed := make([]byte, dt.Size())
+		if n := PackInto(packed, dt, src); n != dt.Size() {
+			t.Fatalf("%v: packed %d bytes, want %d", dt, n, dt.Size())
 		}
 		dst := make([]byte, dt.Extent())
-		unpackInto(dst, dt, packed)
+		Unpack(dt, dst, packed)
 		// Every byte inside a segment must match; bytes outside stay 0.
 		inSeg := make([]bool, dt.Extent())
 		dt.Segments(func(o, n int) {

@@ -155,9 +155,9 @@ func TestPackUnpackMatchesFlat(t *testing.T) {
 			want = append(want, src[off:off+n]...)
 		})
 
-		got := Pack(dt, src)
-		if len(got) != dt.Size() {
-			t.Fatalf("%v: packed %d bytes, want %d", dt, len(got), dt.Size())
+		got := make([]byte, dt.Size())
+		if n := PackInto(got, dt, src); n != dt.Size() {
+			t.Fatalf("%v: packed %d bytes, want %d", dt, n, dt.Size())
 		}
 		for j := range want {
 			if got[j] != want[j] {

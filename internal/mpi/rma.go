@@ -664,15 +664,14 @@ func (w *Win) opPrologue(buf LocalBuf, target, tdisp int, ttype Datatype, kind o
 	return ep, nil
 }
 
-// pack serializes the origin datatype's bytes into a dense buffer,
-// charging copy time for noncontiguous layouts.
+// pack snapshots the origin datatype's bytes into a dense pooled
+// payload, charging copy time for noncontiguous layouts. The snapshot
+// is taken after the pack cost has elapsed.
 func (w *Win) pack(buf LocalBuf) []byte {
 	r := w.comm.r
 	src := buf.Region.Bytes(buf.Region.VA+int64(buf.Off), buf.Type.Span())
 	if buf.Type.Contig() {
-		out := make([]byte, buf.Type.Size())
-		copy(out, src[:buf.Type.Size()])
-		return out
+		return snapshot(r.W.M, buf.Type, src)
 	}
 	t0 := r.P.Now()
 	r.W.M.CopyLocal(r.P, buf.Type.Size()) // pack cost
@@ -685,20 +684,16 @@ func (w *Win) pack(buf LocalBuf) []byte {
 	if o.Tracing() {
 		o.Span(r.ID(), "dt", "pack", t0, r.P.Now(), obs.A("bytes", buf.Type.Size()))
 	}
-	return Pack(buf.Type, src)
+	return snapshot(r.W.M, buf.Type, src)
 }
 
-// unpackInto scatters dense data into dst (a slice covering the
-// datatype's extent) following the datatype layout, through the
-// flatten-cache kernel.
-func unpackInto(dst []byte, t Datatype, data []byte) {
-	Unpack(t, dst, data)
-}
-
-// packFrom gathers the datatype's bytes out of src (covering its
-// extent) into a dense buffer, through the flatten-cache kernel.
-func packFrom(src []byte, t Datatype) []byte {
-	return Pack(t, src)
+// snapshot gathers the datatype's bytes out of src (covering its span)
+// into a payload from m's pool. The event that last reads it recycles
+// it.
+func snapshot(m *fabric.Machine, t Datatype, src []byte) []byte {
+	data := m.Payload(t.Size())
+	PackInto(data, t, src)
+	return data
 }
 
 // Put transfers the origin buffer into the target window at byte
@@ -733,18 +728,14 @@ func (w *Win) Put(buf LocalBuf, target, tdisp int, ttype Datatype) error {
 		if pr != nil {
 			pr.Recv(origin, targetWorld, profile.MsgPut, profile.RouteRMA, len(data))
 		}
-		if !ttype.Contig() {
-			// Target-side unpack cost is borne by the NIC/agent; modeled
-			// as arriving-data processing latency folded into arrive via
-			// CopyTime.
-		}
 		defer func() {
 			if rec := recover(); rec != nil {
 				ws.setErr(fmt.Errorf("mpi: Put apply failed: %v", rec))
 			}
 		}()
 		dst := treg.Bytes(treg.VA+int64(tdisp), ttype.Span())
-		unpackInto(dst, ttype, data)
+		Unpack(ttype, dst, data)
+		m.Recycle(data)
 	})
 	done := arrive
 	if !ttype.Contig() {
@@ -778,16 +769,18 @@ func (w *Win) shmPut(buf LocalBuf, target, tdisp int, ttype Datatype, ep *epoch,
 	m := r.W.M
 	treg, _ := w.SharedQuery(target)
 	src := buf.Region.Bytes(buf.Region.VA+int64(buf.Off), buf.Type.Span())
-	data := packFrom(src, buf.Type)
+	data := snapshot(m, buf.Type, src)
 	t0c := r.P.Now()
 	m.ShmCopy(r.P, len(data))
 	if pr := r.W.Obs.Prof(); pr != nil {
 		pr.PhaseAt(r.ID(), profile.PhaseShmCopy, t0c, r.P.Now())
 	}
-	if err := w.shmApply(func() {
+	err := w.shmApply(func() {
 		dst := treg.Bytes(treg.VA+int64(tdisp), ttype.Span())
-		unpackInto(dst, ttype, data)
-	}, "Put"); err != nil {
+		Unpack(ttype, dst, data)
+	}, "Put")
+	m.Recycle(data)
+	if err != nil {
 		return err
 	}
 	if now := r.P.Now(); now > ep.completeAt {
@@ -870,7 +863,7 @@ func (w *Win) Get(buf LocalBuf, target, tdisp int, ttype Datatype) error {
 	reqArrive := r.control(targetWorld)
 	m.Eng.At(reqArrive, func() {
 		src := treg.Bytes(treg.VA+int64(tdisp), ttype.Span())
-		data := packFrom(src, ttype)
+		data := snapshot(m, ttype, src)
 		back := m.SendDataAsync(targetWorld, origin, len(data), fabric.XferOpt{Rate: rate})
 		if pr != nil {
 			base, xs, xa := m.LastXfer()
@@ -904,7 +897,8 @@ func (w *Win) Get(buf LocalBuf, target, tdisp int, ttype Datatype) error {
 				}
 			}()
 			dst := buf.Region.Bytes(buf.Region.VA+int64(buf.Off), buf.Type.Span())
-			unpackInto(dst, buf.Type, data)
+			Unpack(buf.Type, dst, data)
+			m.Recycle(data)
 		})
 	})
 	// Lower bound available at issue time; refined inside the event.
@@ -928,7 +922,7 @@ func (w *Win) shmGet(buf LocalBuf, target, tdisp int, ttype Datatype, ep *epoch,
 	var data []byte
 	if err := w.shmApply(func() {
 		src := treg.Bytes(treg.VA+int64(tdisp), ttype.Span())
-		data = packFrom(src, ttype)
+		data = snapshot(m, ttype, src)
 	}, "Get"); err != nil {
 		return err
 	}
@@ -937,10 +931,12 @@ func (w *Win) shmGet(buf LocalBuf, target, tdisp int, ttype Datatype, ep *epoch,
 	if pr := r.W.Obs.Prof(); pr != nil {
 		pr.PhaseAt(r.ID(), profile.PhaseShmCopy, t0c, r.P.Now())
 	}
-	if err := w.shmApply(func() {
+	err := w.shmApply(func() {
 		dst := buf.Region.Bytes(buf.Region.VA+int64(buf.Off), buf.Type.Span())
-		unpackInto(dst, buf.Type, data)
-	}, "Get"); err != nil {
+		Unpack(buf.Type, dst, data)
+	}, "Get")
+	m.Recycle(data)
+	if err != nil {
 		return err
 	}
 	if now := r.P.Now(); now > ep.completeAt {
@@ -1006,6 +1002,7 @@ func (w *Win) Accumulate(buf LocalBuf, op Op, target, tdisp int, ttype Datatype)
 		}()
 		dst := treg.Bytes(treg.VA+int64(tdisp), ttype.Span())
 		applyReduction(dst, ttype, data, op)
+		m.Recycle(data)
 	})
 	if applyDone > ep.completeAt {
 		ep.completeAt = applyDone
@@ -1031,7 +1028,7 @@ func (w *Win) shmAccumulate(buf LocalBuf, op Op, target, tdisp int, ttype Dataty
 	r := w.comm.r
 	m := r.W.M
 	src := buf.Region.Bytes(buf.Region.VA+int64(buf.Off), buf.Type.Span())
-	data := packFrom(src, buf.Type)
+	data := snapshot(m, buf.Type, src)
 	treg, _ := w.SharedQuery(target)
 	tl := w.state.lockAt(target)
 	t0q := r.P.Now()
@@ -1047,10 +1044,12 @@ func (w *Win) shmAccumulate(buf LocalBuf, op Op, target, tdisp int, ttype Dataty
 		pr.PhaseAt(r.ID(), profile.PhaseTargetProc, start, fin)
 	}
 	m.SleepUntil(r.P, fin)
-	if err := w.shmApply(func() {
+	err := w.shmApply(func() {
 		dst := treg.Bytes(treg.VA+int64(tdisp), ttype.Span())
 		applyReduction(dst, ttype, data, op)
-	}, "Accumulate"); err != nil {
+	}, "Accumulate")
+	m.Recycle(data)
+	if err != nil {
 		return err
 	}
 	if fin > ep.completeAt {
@@ -1060,22 +1059,32 @@ func (w *Win) shmAccumulate(buf LocalBuf, op Op, target, tdisp int, ttype Dataty
 	return nil
 }
 
+// f64Ops maps the arithmetic reductions onto the fabric's float64
+// kernel.
+var f64Ops = map[Op]fabric.F64Op{
+	OpSum:  fabric.F64Sum,
+	OpMin:  fabric.F64Min,
+	OpMax:  fabric.F64Max,
+	OpProd: fabric.F64Prod,
+}
+
 // applyReduction folds dense data into dst following the datatype
-// layout, elementwise on float64 for arithmetic ops.
+// layout, elementwise on float64 for arithmetic ops, in place.
 func applyReduction(dst []byte, t Datatype, data []byte, op Op) {
 	if op == OpReplace {
-		unpackInto(dst, t, data)
+		Unpack(t, dst, data)
 		return
 	}
+	f, ok := f64Ops[op]
 	pos := 0
 	t.Segments(func(off, n int) {
 		if n%8 != 0 || off%8 != 0 {
 			panic(fmt.Sprintf("mpi: accumulate segment not float64-aligned (off=%d n=%d)", off, n))
 		}
-		cur := bytesToF64s(dst[off : off+n])
-		inc := bytesToF64s(data[pos : pos+n])
-		reduceF64(op, cur, inc)
-		copy(dst[off:off+n], f64sToBytes(cur))
+		if !ok {
+			panic("mpi: unsupported float64 reduction op " + op.String())
+		}
+		fabric.ReduceF64(f, dst[off:off+n], data[pos:pos+n], 1)
 		pos += n
 	})
 }

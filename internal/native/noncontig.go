@@ -76,14 +76,13 @@ func (r *Runtime) putSegs(segs []seg, target int, accumulate bool, scale float64
 	r.opCost()
 	r.p.Elapse(sim.FromSeconds(float64(len(segs)) * segOverheadNs / 1e9))
 	total := 0
-	data := make([][]byte, len(segs))
 	var local *fabric.Region
-	for i, sg := range segs {
+	for _, sg := range segs {
 		total += sg.n
-		data[i] = append([]byte(nil), sg.sreg.Bytes(sg.srcVA, sg.n)...)
 		local = sg.sreg
 	}
 	m := r.w.M
+	data := gather(m, segs, total)
 	arrive := m.SendDataAsync(r.Rank(), target, total, fabric.XferOpt{Rate: r.rate(local)})
 	done := arrive
 	if accumulate {
@@ -100,24 +99,33 @@ func (r *Runtime) putSegs(segs []seg, target int, accumulate bool, scale float64
 	}
 	segsCopy := segs
 	m.Eng.At(done, func() {
-		for i, sg := range segsCopy {
+		pos := 0
+		for _, sg := range segsCopy {
 			dst := sg.dreg.Bytes(sg.dstVA, sg.n)
 			if accumulate {
-				cur := decodeF64(dst)
-				inc := decodeF64(data[i])
-				for k := range cur {
-					cur[k] += scale * inc[k]
-				}
-				encodeF64(dst, cur)
+				fabric.ReduceF64(fabric.F64Sum, dst, data[pos:pos+sg.n], scale)
 			} else {
-				copy(dst, data[i])
+				copy(dst, data[pos:pos+sg.n])
 			}
+			pos += sg.n
 		}
+		m.Recycle(data)
 	})
 	r.noteRemote(target, done)
 	r.w.BytesMoved += int64(total)
 	r.w.Segments += int64(len(segs))
 	return nil
+}
+
+// gather snapshots the source side of segs into one dense payload of
+// total bytes from m's pool.
+func gather(m *fabric.Machine, segs []seg, total int) []byte {
+	data := m.Payload(total)
+	pos := 0
+	for _, sg := range segs {
+		pos += copy(data[pos:], sg.sreg.Bytes(sg.srcVA, sg.n))
+	}
+	return data
 }
 
 // getSegs is the native noncontiguous get pipeline.
@@ -140,15 +148,14 @@ func (r *Runtime) getSegs(segs []seg, target int) (armci.Handle, error) {
 	segsCopy := segs
 	req := m.SendDataAsync(me, target, 0, fabric.XferOpt{NoNIC: true})
 	m.Eng.At(req, func() {
-		data := make([][]byte, len(segsCopy))
-		for i, sg := range segsCopy {
-			data[i] = append([]byte(nil), sg.sreg.Bytes(sg.srcVA, sg.n)...)
-		}
+		data := gather(m, segsCopy, total)
 		back := m.SendDataAsync(target, me, total, fabric.XferOpt{Rate: rate})
 		m.Eng.At(back, func() {
-			for i, sg := range segsCopy {
-				copy(sg.dreg.Bytes(sg.dstVA, sg.n), data[i])
+			pos := 0
+			for _, sg := range segsCopy {
+				pos += copy(sg.dreg.Bytes(sg.dstVA, sg.n), data[pos:pos+sg.n])
 			}
+			m.Recycle(data)
 			h.complete()
 		})
 	})

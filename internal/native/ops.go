@@ -1,9 +1,7 @@
 package native
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
 
 	"repro/internal/armci"
 	"repro/internal/fabric"
@@ -69,10 +67,14 @@ func (r *Runtime) Put(src, dst armci.Addr, n int) error {
 		return err
 	}
 	m := r.w.M
-	data := append([]byte(nil), sreg.Bytes(src.VA, n)...)
+	data := m.Payload(n)
+	copy(data, sreg.Bytes(src.VA, n))
 	arrive := m.SendDataAsync(r.Rank(), dst.Rank, n, fabric.XferOpt{Rate: r.rate(sreg)})
 	dstVA := dst.VA
-	m.Eng.At(arrive, func() { copy(dreg.Bytes(dstVA, n), data) })
+	m.Eng.At(arrive, func() {
+		copy(dreg.Bytes(dstVA, n), data)
+		m.Recycle(data)
+	})
 	r.noteRemote(dst.Rank, arrive)
 	r.w.BytesMoved += int64(n)
 	r.w.Segments++
@@ -108,12 +110,9 @@ func (r *Runtime) Acc(op armci.AccOp, scale float64, src, dst armci.Addr, n int)
 		return err
 	}
 	m := r.w.M
-	vals := decodeF64(sreg.Bytes(src.VA, n))
-	if scale != 1 {
-		for i := range vals {
-			vals[i] *= scale
-		}
-	}
+	// The pipeline buffers the scaled source at issue.
+	data := m.Payload(n)
+	fabric.ReduceF64(fabric.F64Replace, data, sreg.Bytes(src.VA, n), scale)
 	arrive := m.SendDataAsync(r.Rank(), dst.Rank, n, fabric.XferOpt{Rate: r.rate(sreg)})
 	// The helper-thread/NIC agent applies the reduction serially.
 	accRate := m.Par.AccumRate
@@ -128,11 +127,8 @@ func (r *Runtime) Acc(op armci.AccOp, scale float64, src, dst armci.Addr, n int)
 	r.w.agentBusy[dst.Rank] = done
 	dstVA := dst.VA
 	m.Eng.At(done, func() {
-		cur := decodeF64(dreg.Bytes(dstVA, n))
-		for i := range cur {
-			cur[i] += vals[i]
-		}
-		encodeF64(dreg.Bytes(dstVA, n), cur)
+		fabric.ReduceF64(fabric.F64Sum, dreg.Bytes(dstVA, n), data, 1)
+		m.Recycle(data)
 	})
 	r.noteRemote(dst.Rank, done)
 	r.w.BytesMoved += int64(n)
@@ -175,10 +171,12 @@ func (r *Runtime) NbGet(src, dst armci.Addr, n int) (armci.Handle, error) {
 	srcVA := src.VA
 	req := m.SendDataAsync(me, src.Rank, 0, fabric.XferOpt{NoNIC: true})
 	m.Eng.At(req, func() {
-		data := append([]byte(nil), sreg.Bytes(srcVA, n)...)
+		data := m.Payload(n)
+		copy(data, sreg.Bytes(srcVA, n))
 		back := m.SendDataAsync(src.Rank, me, n, fabric.XferOpt{Rate: rate})
 		m.Eng.At(back, func() {
 			copy(dreg.Bytes(dstVA, n), data)
+			m.Recycle(data)
 			h.complete()
 		})
 	})
@@ -194,18 +192,4 @@ func (r *Runtime) NbAcc(op armci.AccOp, scale float64, src, dst armci.Addr, n in
 		return nil, err
 	}
 	return newHandle(r, true), nil
-}
-
-func decodeF64(b []byte) []float64 {
-	out := make([]float64, len(b)/8)
-	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
-	}
-	return out
-}
-
-func encodeF64(b []byte, vals []float64) {
-	for i, v := range vals {
-		binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(v))
-	}
 }
